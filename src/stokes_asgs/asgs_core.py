@@ -28,9 +28,12 @@ which solves (uprime^{n+alpha} - uprime^n)/dt_eff + uprime^{n+alpha}/tau1
 uprime^{n+1} = (uprime^{n+alpha} - (1-alpha)*uprime^n)/alpha, the
 trapezoidal rule for d(uprime)/dt + uprime/tau1 = R when alpha = 1/2.
 Second derivatives of P1 fields vanish elementwise, so no Laplacian terms
-appear in the residuals or their adjoints.  Dirichlet velocity rows are
-replaced by identity rows and a single Lagrange multiplier row/column pins
-the pressure mean to zero.
+appear in the residuals or their adjoints.  The assembled system replaces
+the Dirichlet velocity rows by identity rows and appends a single Lagrange
+multiplier row/column that pins the pressure mean to zero; this constrained
+matrix is the assembly contract.  The direct solver factorizes only the
+reduced interior system (no Dirichlet rows, no multiplier, one pressure dof
+pinned) and recovers the multiplier exactly (see ``ReducedFactor``).
 """
 
 from dataclasses import dataclass
@@ -292,9 +295,12 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
 
 def _theta_forcing(forcing, pts, t_old, t_new, alpha):
     x, y = pts[..., 0], pts[..., 1]
-    f1o, f2o = forcing(x, y, t_old)
-    f1n, f2n = forcing(x, y, t_new)
     shape = x.shape
+    f1n, f2n = forcing(x, y, t_new)
+    if alpha == 1:  # backward Euler gives t_old no weight
+        return np.stack([np.broadcast_to(f1n, shape),
+                         np.broadcast_to(f2n, shape)], axis=-1)
+    f1o, f2o = forcing(x, y, t_old)
     f1 = alpha * np.broadcast_to(f1n, shape) + (1 - alpha) * np.broadcast_to(f1o, shape)
     f2 = alpha * np.broadcast_to(f2n, shape) + (1 - alpha) * np.broadcast_to(f2o, shape)
     return np.stack([f1, f2], axis=-1)
@@ -388,10 +394,55 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     return SubscaleState((uprime_mid - (1 - alpha) * subscale_n.uprime) / alpha)
 
 
+class ReducedFactor:
+    """Direct solver of the constrained system through its interior system.
+
+    The constrained matrix K keeps the Dirichlet identity rows and the dense
+    mean-pressure multiplier row and column, which wreck the sparse LU
+    ordering.  Only the interior system is factorized: the Dirichlet rows
+    and columns and the multiplier are dropped, and the first pressure dof
+    is pinned (its column and its continuity row are dropped).  This is
+    exact: constants span the pressure kernel of the interior operator and
+    its continuity rows sum to zero, so summing the continuity rows of
+    K x = b gives lambda * sum(mean_vector) = the sum of the lifted
+    continuity right-hand side.  With lambda known the pinned system has a
+    unique solution, whose pressure is then shifted to zero mean.
+    """
+
+    def __init__(self, matrix, dofmap):
+        self.dirichlet = dofmap.dirichlet_dofs
+        self.mean = dofmap.mean_vector
+        self.p_block = slice(2 * dofmap.n_u, dofmap.multiplier_index)
+        self.multiplier = dofmap.multiplier_index
+        # interior rows/columns: free velocities, then every pressure
+        self.interior = np.setdiff1d(np.arange(dofmap.multiplier_index),
+                                     self.dirichlet)
+        self.pin = self.interior.size - dofmap.n_p
+        self.kept = np.delete(self.interior, self.pin)
+        csr = matrix.csr
+        self.lift = csr[self.interior][:, self.dirichlet]
+        self.factor = linalg.DirectFactor(
+            linalg.SparseMatrix(csr[self.kept][:, self.kept]))
+
+    def solve(self, rhs):
+        """Solution of K x = rhs, multiplier included."""
+        x = np.zeros(rhs.shape)
+        x[self.dirichlet] = rhs[self.dirichlet]
+        b = rhs[self.interior] - self.lift @ x[self.dirichlet]
+        cont = b[self.pin:]
+        lam = cont.sum() / self.mean.sum()
+        cont -= lam * self.mean
+        x[self.kept] = self.factor.solve(np.delete(b, self.pin))
+        p = x[self.p_block]
+        p -= (self.mean @ p) / self.mean.sum()
+        x[self.multiplier] = lam
+        return x
+
+
 def _prepare_solver(mesh, dofmap, scheme, params, solver, gmres_tol):
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     if solver == "direct":
-        return {"matrix": matrix, "factor": linalg.DirectFactor(matrix),
+        return {"matrix": matrix, "factor": ReducedFactor(matrix, dofmap),
                 "solver": solver}
     if solver == "gmres":
         return {"matrix": matrix, "solver": solver, "tol": gmres_tol}

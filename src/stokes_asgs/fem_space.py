@@ -3,7 +3,9 @@
 Global unknowns are blocked as [u1 | u2 | p | mean-pressure multiplier]:
 velocity components first (one scalar dof per vertex each), then pressure
 (one dof per vertex, equal order), then a single Lagrange multiplier that
-pins the pressure mean to zero.
+pins the pressure mean to zero.  This layout, with identity rows on the
+Dirichlet dofs, is that of the assembled system; the direct solver
+factorizes only its interior part and recovers the multiplier.
 """
 
 from dataclasses import dataclass
@@ -132,13 +134,6 @@ class DofMap:
     @property
     def multiplier_index(self):
         return 2 * self.n_u + self.n_p
-
-    def u_slice(self, component):
-        return slice(component * self.n_u, (component + 1) * self.n_u)
-
-    @property
-    def p_slice(self):
-        return slice(2 * self.n_u, 2 * self.n_u + self.n_p)
 
     def dirichlet_mask(self, n_total=None):
         mask = np.zeros(n_total if n_total is not None else self.n_dofs, dtype=bool)

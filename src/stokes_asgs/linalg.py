@@ -1,11 +1,14 @@
 """Sparse storage and direct/iterative solvers for the assembled systems.
 
 Thin layer over scipy.sparse: compressed-row storage built from triplets,
-sparse LU with a singularity gate, and restarted GMRES with absolute-value
-diagonal preconditioning.  The saddle-point systems produced by the
-assembly are nonsymmetric, and the unstabilized equal-order variant may be
-genuinely rank deficient; ``SingularMatrixError`` is therefore a meaningful
-outcome, not just a guard.
+sparse LU (COLAMD column ordering) with a singularity gate, and restarted
+GMRES with absolute-value diagonal preconditioning.  The time stepper hands
+the LU the reduced interior system, free of the Dirichlet identity rows and
+the dense mean-pressure multiplier row/column (``asgs_core.ReducedFactor``);
+GMRES works on the full constrained system.  The saddle-point systems
+produced by the assembly are nonsymmetric, and the unstabilized equal-order
+variant may be genuinely rank deficient; ``SingularMatrixError`` is
+therefore a meaningful outcome, not just a guard.
 """
 
 import time
@@ -128,7 +131,9 @@ class DirectFactor:
             raise ValueError("matrix must be square")
         self.A = A
         try:
-            self.lu = spla.splu(A.csr.tocsc())
+            # explicit COLAMD: MMD_AT_PLUS_A factors these saddle-point
+            # systems more slowly
+            self.lu = spla.splu(A.csr.tocsc(), permc_spec="COLAMD")
         except RuntimeError as exc:  # exactly singular factor
             raise SingularMatrixError(str(exc)) from exc
         udiag = np.abs(self.lu.U.diagonal())

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
                          element_geometry)
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
-                                   StepFailureError, SubscaleState, TimeScheme,
-                                   assemble_lhs, assemble_system,
+                                   ReducedFactor, StepFailureError,
+                                   SubscaleState, TimeScheme, _prepare_solver,
+                                   assemble_lhs, assemble_rhs, assemble_system,
                                    coercivity_check, coercivity_operator,
                                    compute_taus, infsup_constant,
                                    local_galerkin_matrices, solve_transient,
@@ -323,6 +326,69 @@ def test_determinism_bitwise():
     assert np.array_equal(runs[0].u1, runs[1].u1)
     assert np.array_equal(runs[0].u2, runs[1].u2)
     assert np.array_equal(runs[0].p, runs[1].p)
+
+
+def _random_step_inputs(mesh, rng):
+    # random nodal state (boundary velocities included, so the continuity
+    # right-hand side does not sum to zero under theta=0), subscale history
+    # and start time
+    state = FieldState(*rng.standard_normal((3, mesh.n_vertices)),
+                       t=float(rng.uniform(0.0, 1.0)))
+    sub = SubscaleState(rng.standard_normal(SubscaleState.zeros(mesh).uprime.shape))
+    return state, sub
+
+
+@pytest.mark.parametrize("theta", [1, 0])
+def test_step_matches_dense_oracle(theta):
+    mesh = build_unit_square_mesh(3)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    state, sub = _random_step_inputs(mesh, np.random.default_rng(21 + theta))
+    new, _ = step(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    A, b = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    x = np.linalg.solve(A, b)
+    got = np.concatenate([new.u1, new.u2, new.p])
+    assert np.abs(got - x[:got.size]).max() <= 1e-10 * max(1.0, np.abs(x).max())
+    assert abs(dofmap.mean_vector @ new.p) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 6), theta=st.sampled_from([0, 1]),
+       dt=st.floats(1e-3, 1.0), mu=st.floats(1e-2, 1.0),
+       c1=st.floats(1.0, 20.0), c2=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2, seed):
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
+    state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
+    fn = _forcing_fn(mu)
+    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
+    dense = np.linalg.solve(matrix.to_dense(), rhs)
+    scale = max(1.0, np.abs(dense).max())
+
+    new, _ = step(mesh, dofmap, state, sub, scheme, params, fn)
+    got = np.concatenate([new.u1, new.u2, new.p])
+    assert np.abs(got - dense[:got.size]).max() <= 1e-9 * scale
+    lam = ReducedFactor(matrix, dofmap).solve(rhs)[dofmap.multiplier_index]
+    assert abs(lam - dense[dofmap.multiplier_index]) <= 1e-9 * scale
+    assert abs(dofmap.mean_vector @ new.p) <= 1e-12 * max(1.0, np.abs(new.p).max())
+
+
+def test_direct_factor_fill_guard():
+    # the factorized system must not carry the dense multiplier row: the
+    # full constrained matrix fills to 34x its nnz at nx=40, the reduced
+    # interior system to about 7x
+    mesh = build_unit_square_mesh(40)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=1, dt=0.025, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    prepared = _prepare_solver(mesh, dofmap, scheme, params, "direct", 1e-9)
+    lu = prepared["factor"].factor.lu
+    assert lu.L.nnz + lu.U.nnz <= 10 * prepared["matrix"].n_nonzeros
 
 
 # ------------------------------------------------------------ subscales
