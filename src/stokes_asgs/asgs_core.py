@@ -76,6 +76,15 @@ class TimeScheme:
         return self.alpha * self.dt
 
 
+def _taus(h, mu, c1, c2, dt_eff):
+    if mu <= 0.0 or c1 <= 0.0 or c2 <= 0.0 or dt_eff <= 0.0:
+        raise ValueError("mu, c1, c2 and dt_eff must all be positive")
+    tau1 = h ** 2 / (c1 * mu)
+    tau2 = c2 * h ** 2 / tau1
+    tau1p = tau1 * dt_eff / (dt_eff + tau1)
+    return tau1, tau2, tau1p
+
+
 def compute_taus(geometry, mu, c1, c2, dt_eff):
     """Stabilization parameters of one element.
 
@@ -88,12 +97,7 @@ def compute_taus(geometry, mu, c1, c2, dt_eff):
     toward the elementwise divergence-free subspace, which on structured
     triangulations is too poor to approximate anything (locking).
     """
-    if mu <= 0.0 or c1 <= 0.0 or c2 <= 0.0 or dt_eff <= 0.0:
-        raise ValueError("mu, c1, c2 and dt_eff must all be positive")
-    tau1 = geometry.diameter ** 2 / (c1 * mu)
-    tau2 = c2 * geometry.diameter ** 2 / tau1
-    tau1p = tau1 * dt_eff / (dt_eff + tau1)
-    return tau1, tau2, tau1p
+    return _taus(geometry.diameter, mu, c1, c2, dt_eff)
 
 
 @dataclass
@@ -115,11 +119,7 @@ class StabilizationParams:
 
     @classmethod
     def for_mesh(cls, mesh, mu, c1, c2, dt_eff, stabilized=True):
-        if mu <= 0.0 or c1 <= 0.0 or c2 <= 0.0 or dt_eff <= 0.0:
-            raise ValueError("mu, c1, c2 and dt_eff must all be positive")
-        tau1 = mesh.diameters ** 2 / (c1 * mu)
-        tau2 = c2 * mesh.diameters ** 2 / tau1
-        tau1p = tau1 * dt_eff / (dt_eff + tau1)
+        tau1, tau2, tau1p = _taus(mesh.diameters, mu, c1, c2, dt_eff)
         return cls(mu=mu, c1=c1, c2=c2, dt_eff=dt_eff,
                    tau1=tau1, tau2=tau2, tau1p=tau1p, stabilized=stabilized)
 
@@ -206,6 +206,19 @@ def _element_tables(mesh):
     mass = (a / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
     stiff = np.einsum("kid,kjd->kij", g, g) * a[:, None, None]
     return a, g, mass, stiff
+
+
+def _p1_actions(mesh, u_loc):
+    """Closed forms of the ``_element_tables`` products with u_loc (m, 3, d).
+
+    Returns mass a/12 (u_i + sum_j u_j), stiffness a g (g^T u) and
+    grad = g^T u, that is grad[k, e, d] = du_d/dx_e.
+    """
+    a = mesh.areas[:, None, None]
+    g = mesh.shape_gradients
+    grad = np.matmul(g.transpose(0, 2, 1), u_loc)
+    mass = a / 12.0 * (u_loc + (u_loc[:, 0] + u_loc[:, 1] + u_loc[:, 2])[:, None])
+    return mass, a * (g @ grad), grad
 
 
 def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
@@ -295,59 +308,51 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
 
 def _theta_forcing(forcing, pts, t_old, t_new, alpha):
     x, y = pts[..., 0], pts[..., 1]
-    shape = x.shape
-    f1n, f2n = forcing(x, y, t_new)
+
+    def at(t):
+        return np.stack([np.broadcast_to(f, x.shape) for f in forcing(x, y, t)], axis=-1)
+
     if alpha == 1:  # backward Euler gives t_old no weight
-        return np.stack([np.broadcast_to(f1n, shape),
-                         np.broadcast_to(f2n, shape)], axis=-1)
-    f1o, f2o = forcing(x, y, t_old)
-    f1 = alpha * np.broadcast_to(f1n, shape) + (1 - alpha) * np.broadcast_to(f1o, shape)
-    f2 = alpha * np.broadcast_to(f2n, shape) + (1 - alpha) * np.broadcast_to(f2o, shape)
-    return np.stack([f1, f2], axis=-1)
+        return at(t_new)
+    return alpha * at(t_new) + (1 - alpha) * at(t_old)
 
 
 def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     """Right-hand side for the step starting from ``state_n``."""
     tri = mesh.triangles
-    n_u, n_p = dofmap.n_u, dofmap.n_p
-    a, g, mass, stiff = _element_tables(mesh)
+    n_u = dofmap.n_u
+    a, g = mesh.areas, mesh.shape_gradients
     alpha, dt, dt_eff = scheme.alpha, scheme.dt, scheme.dt_eff
 
-    m_w = params.m_weights
     w_w = params.w_weights
     t1p = params.tau1p_eff
     t2 = params.tau2_eff
 
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
     wq = rule.weights
-    bary = rule.points
     pts = mesh.quad_points(rule)
 
     fvec = _theta_forcing(forcing, pts, state_n.t, state_n.t + dt, alpha)  # (m, nq, 2)
-    d1 = subscale_n.uprime / dt_eff
+    # forcing plus the subscale history d = uprime^n/dt_eff
+    load = fvec + subscale_n.uprime / dt_eff
 
     u_loc = np.stack([state_n.u1[tri], state_n.u2[tri]], axis=-1)  # (m, 3, 2)
-    div_un = np.einsum("kid,kid->k", g, u_loc)
+    mass_u, stiff_u, grad_u = _p1_actions(mesh, u_loc)
+    div_un = grad_u[:, 0, 0] + grad_u[:, 1, 1]
     ubar = u_loc.mean(axis=1)  # element means of u_old
 
     rhs = np.zeros(dofmap.n_dofs)
-
-    for c in range(2):
-        mass_term = (w_w / dt)[:, None] * np.einsum("kij,kj->ki", mass, u_loc[:, :, c])
-        visc_term = -(params.mu * (1 - alpha)) * np.einsum(
-            "kij,kj->ki", stiff, u_loc[:, :, c])
-        gd_term = -((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
-        force_term = (w_w * a)[:, None] * np.einsum("kq,qi->ki", wq * fvec[:, :, c], bary)
-        sub_term = (w_w * a)[:, None] * np.einsum("kq,qi->ki", wq * d1[:, :, c], bary)
-        np.add.at(rhs, c * n_u + tri,
-                  mass_term + visc_term + gd_term + force_term + sub_term)
-
-    # continuity rows
-    fbar = np.einsum("q,kqd->kd", wq, fvec)
-    dbar = np.einsum("q,kqd->kd", wq, d1)
     cont = -((1 - alpha) * a / 3.0 * div_un)[:, None] * np.ones(3)
-    cont = cont + (t1p * a / dt)[:, None] * np.einsum("kid,kd->ki", g, ubar)
-    cont = cont + (t1p * a)[:, None] * np.einsum("kid,kd->ki", g, dbar + fbar)
+    for c in range(2):
+        load_c = load[:, :, c]
+        mom = ((w_w / dt)[:, None] * mass_u[:, :, c]
+               - (params.mu * (1 - alpha)) * stiff_u[:, :, c]
+               - ((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
+               + (w_w * a)[:, None] * ((wq * load_c) @ rule.points))
+        np.add.at(rhs, c * n_u + tri, mom)
+        # continuity rows: tau1p (u_old/dt + f + d, grad q)
+        cont += ((t1p * a)[:, None] * g[:, :, c]
+                 * (ubar[:, c] / dt + load_c @ wq)[:, None])
     np.add.at(rhs, 2 * n_u + tri, cont)
 
     rhs[dofmap.dirichlet_dofs] = 0.0
@@ -365,6 +370,17 @@ def assemble_system(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     return AssembledSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
 
+def _momentum_residual(mesh, rule, state_old, state_new, dt, alpha, forcing):
+    """R1 = f_mid - (u_new - u_old)/dt - grad p, (m, nq, 2), at ``rule``'s points."""
+    tri = mesh.triangles
+    fvec = _theta_forcing(forcing, mesh.quad_points(rule), state_old.t,
+                          state_old.t + dt, alpha)
+    du_loc = np.stack([(state_new.u1 - state_old.u1)[tri],
+                       (state_new.u2 - state_old.u2)[tri]], axis=-1) / dt
+    gradp = np.matmul(state_new.p[tri][:, None, :], mesh.shape_gradients)
+    return fvec - rule.points @ du_loc - gradp
+
+
 def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, forcing):
     """Advance the subscale history one step.
 
@@ -375,22 +391,10 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     uprime_new = (uprime_mid - (1 - alpha)*uprime_old)/alpha.  For backward
     Euler (alpha = 1) the two levels coincide.
     """
-    tri = mesh.triangles
-    g = mesh.shape_gradients
-    alpha, dt, dt_eff = scheme.alpha, scheme.dt, scheme.dt_eff
-
-    rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
-    bary = rule.points
-    pts = mesh.quad_points(rule)
-
-    fvec = _theta_forcing(forcing, pts, state_old.t, state_old.t + dt, alpha)
-    du_loc = np.stack([(state_new.u1 - state_old.u1)[tri],
-                       (state_new.u2 - state_old.u2)[tri]], axis=-1) / dt
-    dudt_q = np.einsum("qi,kid->kqd", bary, du_loc)
-    gradp = np.einsum("ki,kid->kd", state_new.p[tri], g)  # constant per element
-
-    resid = fvec - dudt_q - gradp[:, None, :]
-    uprime_mid = params.tau1p_eff[:, None, None] * (resid + subscale_n.uprime / dt_eff)
+    alpha = scheme.alpha
+    resid = _momentum_residual(mesh, quadrature_rule(ASSEMBLY_QUAD_DEGREE),
+                               state_old, state_new, scheme.dt, alpha, forcing)
+    uprime_mid = params.tau1p_eff[:, None, None] * (resid + subscale_n.uprime / scheme.dt_eff)
     return SubscaleState((uprime_mid - (1 - alpha) * subscale_n.uprime) / alpha)
 
 

@@ -12,11 +12,13 @@ du/dt - mu*lap(u) + grad(p) = f.
 
 Space-time error norms are the discrete ones driven by the theta-scheme:
 interval contributions are dt times the squared norm of the theta-combined
-snapshot error, the velocity norm adds a max-in-time L2 part, and pressure
-is sampled at the interval level where the solver produces it.
+snapshot error (each level's snapshot is computed once along a solve), the
+velocity norm adds a max-in-time L2 part, and pressure is sampled at the
+interval level where the solver produces it.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,68 +137,68 @@ def _field_at_quadrature(mesh, rule, u1, u2):
     """
     tri = mesh.triangles
     u_loc = np.stack([u1[tri], u2[tri]], axis=-1)            # (m, 3, 2)
-    vals = np.einsum("qi,kid->kqd", rule.points, u_loc)
-    grads = np.einsum("kie,kid->kde", mesh.shape_gradients, u_loc)
+    vals = rule.points @ u_loc
+    grads = np.matmul(u_loc.transpose(0, 2, 1), mesh.shape_gradients)
     return vals, grads
 
 
-def _interval_contributions(state_n, state_np1, mesh, theta, dt, exact):
-    """Squared-norm pieces for one interval [t_n, t_{n+1}]."""
-    exact_u, exact_gu, exact_p = exact
-    alpha = 0.5 * (1 + theta)
-    rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    wq = rule.weights
-    pts = mesh.quad_points(rule)
-    x, y = pts[..., 0], pts[..., 1]
-    a = mesh.areas
+def _l2sq(mesh, field_sq):
+    """Integral over the domain of a pointwise field given at the error points."""
+    wq = quadrature_rule(ERROR_QUAD_DEGREE).weights
+    return float((field_sq @ wq) @ mesh.areas)
 
-    def snapshot_error(state, t):
-        vals, grads = _field_at_quadrature(mesh, rule, state.u1, state.u2)
-        e1x, e2x = exact_u(x, y, t)
-        err_vals = np.stack([vals[..., 0] - e1x, vals[..., 1] - e2x], axis=-1)
-        d11, d12, d21, d22 = exact_gu(x, y, t)
-        eg = np.empty(pts.shape[:2] + (2, 2))
-        eg[..., 0, 0] = grads[:, None, 0, 0] - d11
-        eg[..., 0, 1] = grads[:, None, 0, 1] - d12
-        eg[..., 1, 0] = grads[:, None, 1, 0] - d21
-        eg[..., 1, 1] = grads[:, None, 1, 1] - d22
-        return err_vals, eg
 
-    ev_n, eg_n = snapshot_error(state_n, state_n.t)
-    ev_p, eg_p = snapshot_error(state_np1, state_np1.t)
-
-    def l2sq(field_sq):
-        # field_sq: (m, nq) pointwise squared magnitude
-        return float(np.einsum("k,kq,q->", a, field_sq, wq))
-
-    sq_n = (ev_n ** 2).sum(axis=-1)
-    sq_p = (ev_p ** 2).sum(axis=-1)
-    snap_n = l2sq(sq_n)
-    snap_p = l2sq(sq_p)
-
-    ev_mid = alpha * ev_p + (1 - alpha) * ev_n
-    eg_mid = alpha * eg_p + (1 - alpha) * eg_n
-    mid_l2 = l2sq((ev_mid ** 2).sum(axis=-1))
-    mid_h1 = mid_l2 + l2sq((eg_mid ** 2).sum(axis=(-2, -1)))
-
-    # pressure error at the interval level t^{n,theta}
-    t_mid = state_n.t + alpha * dt
-    p_loc = state_np1.p[mesh.triangles]
-    p_vals = np.einsum("qi,ki->kq", rule.points, p_loc)
-    p_err = p_vals - exact_p(x, y, t_mid)
-    p_l2 = l2sq(p_err ** 2)
-
-    # divergence of the theta-combined discrete velocity
+def _theta_divergence(mesh, state_n, state_np1, alpha):
+    """Elementwise divergence of alpha*u^{n+1} + (1-alpha)*u^n."""
     tri = mesh.triangles
     g = mesh.shape_gradients
     um1 = alpha * state_np1.u1 + (1 - alpha) * state_n.u1
     um2 = alpha * state_np1.u2 + (1 - alpha) * state_n.u2
-    div_mid = (np.einsum("ki,ki->k", g[:, :, 0], um1[tri])
-               + np.einsum("ki,ki->k", g[:, :, 1], um2[tri]))
-    div_l2 = float(np.sum(a * div_mid ** 2))
+    return (g[:, :, 0] * um1[tri]).sum(axis=1) + (g[:, :, 1] * um2[tri]).sum(axis=1)
+
+
+# velocity error of one level at the error points: six (m, nq) arrays e1, e2,
+# de1/dx, de1/dy, de2/dx, de2/dy, and the squared L2 norm of (e1, e2)
+_Snapshot = namedtuple("_Snapshot", "state errors l2_sq")
+
+
+def _snapshot(state, mesh, exact):
+    exact_u, exact_gu, _ = exact
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    x, y = pts[..., 0], pts[..., 1]
+    vals, grads = _field_at_quadrature(mesh, rule, state.u1, state.u2)
+    errors = [vals[..., d] - ex for d, ex in enumerate(exact_u(x, y, state.t))]
+    errors += [grads[:, None, d, e] - ex for (d, e), ex in
+               zip(((0, 0), (0, 1), (1, 0), (1, 1)), exact_gu(x, y, state.t))]
+    return _Snapshot(state, errors, _l2sq(mesh, errors[0] ** 2 + errors[1] ** 2))
+
+
+def _interval_contributions(snap_n, snap_np1, mesh, theta, dt, exact):
+    """Squared-norm pieces for one interval [t_n, t_{n+1}] from its snapshots;
+    ``snap_n.errors`` is read only under Crank-Nicolson, which weights t_n."""
+    alpha = 0.5 * (1 + theta)
+
+    def mid(i):
+        e = snap_np1.errors[i]
+        return e if alpha == 1 else alpha * e + (1 - alpha) * snap_n.errors[i]
+
+    mid_l2 = _l2sq(mesh, mid(0) ** 2 + mid(1) ** 2)
+    grad_sq = sum(mid(i) ** 2 for i in range(2, 6))
+    mid_h1 = mid_l2 + _l2sq(mesh, grad_sq)
+
+    # pressure error at the interval level t^{n,theta}
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    p_vals = snap_np1.state.p[mesh.triangles] @ rule.points.T
+    p_exact = exact[2](pts[..., 0], pts[..., 1], snap_n.state.t + alpha * dt)
+    p_l2 = _l2sq(mesh, (p_vals - p_exact) ** 2)
+
+    div_mid = _theta_divergence(mesh, snap_n.state, snap_np1.state, alpha)
+    div_l2 = float(np.sum(mesh.areas * div_mid ** 2))
 
     return {
-        "snap_n": snap_n, "snap_p": snap_p,
+        "snap_n": snap_n.l2_sq, "snap_p": snap_np1.l2_sq,
         "mid_l2": mid_l2, "mid_h1": mid_h1,
         "p_l2": p_l2, "div_l2": div_l2,
     }
@@ -218,8 +220,10 @@ def accumulate_errors(acc, state_n, state_np1, mesh, theta, dt, exact=None):
     part of the velocity norm is updated with both snapshot errors, which
     covers t^0 on the first call.
     """
-    parts = _interval_contributions(state_n, state_np1, mesh, theta, dt,
-                                    exact or DEFAULT_EXACT)
+    exact = exact or DEFAULT_EXACT
+    parts = _interval_contributions(_snapshot(state_n, mesh, exact),
+                                    _snapshot(state_np1, mesh, exact),
+                                    mesh, theta, dt, exact)
     _fold(acc, parts, dt)
     return acc
 
@@ -231,29 +235,13 @@ def residual_indicator(state_n, state_np1, mesh, dt, theta, forcing_fn):
     residuals R1 = f - (du_h/dt + grad p_h) (no Laplacian for P1) and
     R2 = -div u_h, both at the (n, theta) level.  Returns (eta_k, eta).
     """
-    tri = mesh.triangles
-    g = mesh.shape_gradients
     a = mesh.areas
     alpha = 0.5 * (1 + theta)
     rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    wq = rule.weights
-    pts = mesh.quad_points(rule)
-
-    fvec = asgs_core._theta_forcing(forcing_fn, pts, state_n.t,
-                                    state_n.t + dt, alpha)
-    du_loc = np.stack([(state_np1.u1 - state_n.u1)[tri],
-                       (state_np1.u2 - state_n.u2)[tri]], axis=-1) / dt
-    dudt_q = np.einsum("qi,kid->kqd", rule.points, du_loc)
-    gradp = np.einsum("ki,kid->kd", state_np1.p[tri], g)
-
-    r1 = fvec - dudt_q - gradp[:, None, :]
-    r1_sq = a * np.einsum("kqd,kqd,q->k", r1, r1, wq)
-
-    um1 = alpha * state_np1.u1 + (1 - alpha) * state_n.u1
-    um2 = alpha * state_np1.u2 + (1 - alpha) * state_n.u2
-    div_mid = (np.einsum("ki,ki->k", g[:, :, 0], um1[tri])
-               + np.einsum("ki,ki->k", g[:, :, 1], um2[tri]))
-    r2_sq = a * div_mid ** 2
+    r1 = asgs_core._momentum_residual(mesh, rule, state_n, state_np1, dt,
+                                      alpha, forcing_fn)
+    r1_sq = a * ((r1[..., 0] ** 2 + r1[..., 1] ** 2) @ rule.weights)
+    r2_sq = a * _theta_divergence(mesh, state_n, state_np1, alpha) ** 2
 
     eta_k_sq = mesh.diameters ** 2 * r1_sq + r2_sq
     return np.sqrt(eta_k_sq), float(np.sqrt(eta_k_sq.sum()))
@@ -327,7 +315,11 @@ class LevelResult:
 
 
 class _VerificationObserver:
-    """Accumulates error norms and the indicator along the time loop."""
+    """Accumulates error norms and the indicator along the time loop.
+
+    Each level's snapshot error is computed once; its per-point errors are
+    kept for the next interval only under Crank-Nicolson, which weights t_n.
+    """
 
     def __init__(self, mesh, scheme, forcing_fn, exact, collect_steps=False):
         self.mesh = mesh
@@ -340,13 +332,17 @@ class _VerificationObserver:
         self._prev = None
 
     def __call__(self, n, state, subscale):
-        if self._prev is not None:
-            dt, theta = self.scheme.dt, self.scheme.theta
-            parts = _interval_contributions(self._prev, state, self.mesh,
-                                            theta, dt, self.exact)
-            _fold(self.acc, parts, dt)
-            _, eta = residual_indicator(self._prev, state, self.mesh, dt,
+        dt, theta, prev = self.scheme.dt, self.scheme.theta, self._prev
+        if prev is not None:
+            # before this level's snapshot exists, so that the indicator's
+            # temporaries never meet two levels of per-point errors
+            _, eta = residual_indicator(prev.state, state, self.mesh, dt,
                                         theta, self.forcing_fn)
+        snap = _snapshot(state, self.mesh, self.exact)
+        if prev is not None:
+            parts = _interval_contributions(prev, snap, self.mesh, theta, dt,
+                                            self.exact)
+            _fold(self.acc, parts, dt)
             self.acc.eta_sq += dt * eta ** 2
             if self.collect_steps:
                 self.steps.append({
@@ -356,7 +352,7 @@ class _VerificationObserver:
                     "err_p_l2": math.sqrt(parts["p_l2"]),
                     "eta": eta,
                 })
-        self._prev = state
+        self._prev = snap if self.scheme.alpha < 1 else snap._replace(errors=None)
 
 
 def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,

@@ -60,13 +60,13 @@ class Mesh:
     def quad_points(self, rule):
         """Physical coordinates of a quadrature rule on every element.
 
-        Returns an array of shape (n_triangles, n_points, 2); the result is
-        cached per rule degree.
+        Returns an array of shape (n_triangles, n_points, 2), each coordinate
+        slice contiguous; the result is cached per rule degree.
         """
         key = rule.degree
         if key not in self._quad_point_cache:
-            corners = self.vertices[self.triangles]  # (m, 3, 2)
-            pts = np.einsum("qi,kid->kqd", rule.points, corners)
+            corners = self.vertices[self.triangles].transpose(2, 0, 1)  # (2, m, 3)
+            pts = (corners @ rule.points.T).transpose(1, 2, 0)
             pts.setflags(write=False)
             self._quad_point_cache[key] = pts
         return self._quad_point_cache[key]

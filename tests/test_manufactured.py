@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stokes_asgs import build_unit_square_mesh, interpolate
-from stokes_asgs.asgs_core import FieldState
+from stokes_asgs import build_dofmap, build_unit_square_mesh, interpolate
+from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
+                                   TimeScheme, _element_tables, _p1_actions,
+                                   solve_transient)
 from stokes_asgs.fem_space import quadrature_rule
-from stokes_asgs.manufactured import (ErrorAccumulator, accumulate_errors,
-                                      exact_pressure, exact_velocity,
-                                      exact_velocity_gradient, forcing,
-                                      rate_table, residual_indicator,
+from stokes_asgs.manufactured import (ErrorAccumulator, _field_at_quadrature,
+                                      accumulate_errors, exact_pressure,
+                                      exact_velocity, exact_velocity_gradient,
+                                      forcing, rate_table, residual_indicator,
                                       run_verification_solve)
 
 MU = 0.1
@@ -201,6 +205,32 @@ def test_interpolant_error_below_solved_error():
     assert acc.err_u_l2l2 < solved.err_u_vtilde
 
 
+# ------------------------------------------------------------ kernels
+
+def test_linear_field_kernels_exact():
+    # P1 interpolation reproduces a linear field, so the quadrature values
+    # and gradients are exact, and the closed-form element actions equal
+    # the element tables applied to the nodal values
+    mesh = build_unit_square_mesh(3)
+    rule = quadrature_rule(8)
+    pts = mesh.quad_points(rule)
+    x, y = pts[..., 0], pts[..., 1]
+    c = [(0.3, -1.7, 2.5), (-4.0, 0.6, 1.1)]
+    u1, u2 = (interpolate(lambda x, y, c=cd: c[0] + c[1] * x + c[2] * y, mesh)
+              for cd in c)
+    vals, grads = _field_at_quadrature(mesh, rule, u1, u2)
+    for d, (c0, c1, c2) in enumerate(c):
+        assert np.abs(vals[..., d] - (c0 + c1 * x + c2 * y)).max() <= 1e-14
+        assert np.abs(grads[:, d, 0] - c1).max() <= 1e-13
+        assert np.abs(grads[:, d, 1] - c2).max() <= 1e-13
+
+    u_loc = np.stack([u1[mesh.triangles], u2[mesh.triangles]], axis=-1)
+    _, _, mass, stiff = _element_tables(mesh)
+    mass_u, stiff_u, _ = _p1_actions(mesh, u_loc)
+    assert np.abs(mass_u - mass @ u_loc).max() <= 1e-14
+    assert np.abs(stiff_u - stiff @ u_loc).max() <= 1e-14
+
+
 # ------------------------------------------------- residual indicator
 
 def test_indicator_zero_divergence_contribution():
@@ -239,6 +269,47 @@ def test_indicator_shape_and_total():
     eta_k, eta = residual_indicator(prev, cur, mesh, 0.1, 1, fn)
     assert eta_k.shape == (mesh.n_triangles,)
     assert eta == pytest.approx(np.sqrt((eta_k ** 2).sum()), rel=1e-13)
+
+
+# ----------------------------------------------- verification observer
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 6), theta=st.sampled_from([0, 1]),
+       dt=st.floats(0.01, 0.5), n_steps=st.integers(1, 4))
+def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
+    # the observer computes each level's snapshot once; folding the
+    # standalone accumulate_errors and residual_indicator over the kept
+    # history of the same solve must give the same norms and eta
+    res = run_verification_solve(nx, dt, theta, n_steps * dt,
+                                 collect_steps=True)
+    mesh = build_unit_square_mesh(nx)
+    scheme = TimeScheme(theta=theta, dt=dt, n_steps=n_steps)
+    params = StabilizationParams.for_mesh(mesh, MU, 4.0, 2.0, scheme.dt_eff)
+    fn = lambda x, y, t: forcing(x, y, t, MU)
+    initial = FieldState(
+        interpolate(lambda x, y: exact_velocity(x, y, 0.0)[0], mesh),
+        interpolate(lambda x, y: exact_velocity(x, y, 0.0)[1], mesh),
+        np.zeros(mesh.n_vertices), 0.0)
+    hist = solve_transient(mesh, build_dofmap(mesh), scheme, params, fn,
+                           initial)
+    acc = ErrorAccumulator()
+    etas = []
+    for prev, cur in zip(hist, hist[1:]):
+        accumulate_errors(acc, prev, cur, mesh, theta, dt)
+        etas.append(residual_indicator(prev, cur, mesh, dt, theta, fn)[1])
+    acc.eta_sq = sum(dt * e ** 2 for e in etas)
+    for name in ("err_u_vtilde", "err_u_l2l2", "err_u_l2h1", "err_p_l2l2",
+                 "total", "eta", "err_div_l2l2"):
+        want = getattr(acc, "total_error" if name == "total" else name)
+        assert getattr(res, name) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert [s["eta"] for s in res.steps] == pytest.approx(etas, rel=1e-12)
+
+
+def test_verification_solve_bitwise_deterministic():
+    runs = [run_verification_solve(4, 0.1, theta, 0.3, collect_steps=True)
+            for theta in (0, 1) for _ in range(2)]
+    # LevelResult equality compares every norm and the per-step records
+    assert runs[0] == runs[1] and runs[2] == runs[3]
 
 
 # ------------------------------------------------------------- rates
