@@ -3,13 +3,11 @@
 from .asgs_core import (AssembledSystem, FieldState, StabilizationParams,
                         StepFailureError, SubscaleState, TimeScheme,
                         assemble_system, compute_taus, coercivity_check,
-                        infsup_constant, local_galerkin_matrices,
-                        solve_transient, step, update_subscales)
+                        infsup_constant, solve_transient, step,
+                        update_subscales)
 from .fem_space import (DofMap, QuadratureRule, build_dofmap, interpolate,
                         p1_eval, quadrature_rule)
-from .linalg import (NonConvergenceError, SingularMatrixError, SolveReport,
-                     SparseMatrix, from_triplets, solve_direct, solve_gmres,
-                     spmv)
+from .linalg import SingularMatrixError, SparseMatrix, from_triplets
 from .manufactured import (ErrorAccumulator, LevelResult, RateTable,
                            accumulate_errors, exact_pressure, exact_velocity,
                            exact_velocity_gradient, forcing, rate_table,

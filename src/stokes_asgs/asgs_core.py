@@ -36,6 +36,7 @@ reduced interior system (no Dirichlet rows, no multiplier, one pressure dof
 pinned) and recovers the multiplier exactly (see ``ReducedFactor``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,21 @@ class TimeScheme:
     @property
     def dt_eff(self):
         return self.alpha * self.dt
+
+
+def count_steps(t_final, dt):
+    """Number of steps of size ``dt`` that end at ``t_final``.
+
+    Raises ValueError unless both are finite and positive and t_final is an
+    integer multiple of dt (to 1e-9 relative).
+    """
+    ratio = t_final / dt if dt > 0 and t_final > 0 else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final {t_final} and dt {dt} must be finite and positive")
+    n_steps = round(ratio)
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
+        raise ValueError(f"t_final {t_final} is not an integer multiple of dt {dt}")
+    return n_steps
 
 
 def _taus(h, mu, c1, c2, dt_eff):
@@ -176,36 +192,53 @@ class AssembledSystem:
 
 
 class StepFailureError(Exception):
-    """A time step could not be completed; carries the 1-based step index."""
+    """A time step could not be completed; carries the 1-based step index.
+
+    ``manufactured.run_convergence_study`` sets ``level`` to the
+    (index, nx, dt) of the level whose solve failed.
+    """
+
+    level = None
 
     def __init__(self, step, message):
         super().__init__(f"step {step}: {message}")
         self.step = step
 
 
-def local_galerkin_matrices(geometry):
-    """Exact P1 element matrices: mass, (unscaled) stiffness, div coupling.
-
-    Returns (mass 3x3, stiffness 3x3, div 2x3x3) with
-    mass_ij = int(l_i l_j), stiffness_ij = int(grad l_i . grad l_j) and
-    div[c]_ij = int(dl_j/dx_c * l_i).
-    """
-    a = geometry.area
-    g = geometry.shape_gradients
-    mass = a / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    stiffness = a * (g @ g.T)
-    div = np.empty((2, 3, 3))
-    for c in range(2):
-        div[c] = np.tile(a / 3.0 * g[:, c], (3, 1))
-    return mass, stiffness, div
-
-
 def _element_tables(mesh):
+    """Exact P1 element matrices of every element, each (m, ...).
+
+    Returns (a, g, mass, stiff, div) with mass[k]_ij = int(l_i l_j),
+    stiff[k]_ij = int(grad l_i . grad l_j) and
+    div[k, c]_ij = int(dl_j/dx_c * l_i) = a/3 * g[k, j, c].
+    """
     a = mesh.areas
     g = mesh.shape_gradients
     mass = (a / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
     stiff = np.einsum("kid,kjd->kij", g, g) * a[:, None, None]
-    return a, g, mass, stiff
+    div_row = (a / 3.0)[:, None, None] * g.transpose(0, 2, 1)  # (m, 2, 3): a/3 g[k, j, c]
+    div = np.broadcast_to(div_row[:, :, None, :], (mesh.n_triangles, 2, 3, 3))
+    return a, g, mass, stiff, div
+
+
+def _grad_div(a, g, weight, c, cp):
+    """weight * int(dl_i/dx_c * dl_j/dx_cp) on every element, (m, 3, 3)."""
+    return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
+
+
+def _scatter(tri, blocks):
+    """Global (rows, cols, vals) triplets of element matrices.
+
+    ``blocks`` holds (row offset, column offset, (m, 3, 3) local matrices);
+    entry (i, j) of element k lands at (row offset + tri[k, i],
+    column offset + tri[k, j]).
+    """
+    rows, cols, vals = [], [], []
+    for r, c, local in blocks:
+        rows.append(np.broadcast_to(r + tri[:, :, None], local.shape).ravel())
+        cols.append(np.broadcast_to(c + tri[:, None, :], local.shape).ravel())
+        vals.append(np.ravel(local))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def _p1_actions(mesh, u_loc):
@@ -229,10 +262,8 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
     otherwise the raw operator of size 2*n_u + n_p is returned (used by the
     eigenvalue diagnostics).
     """
-    tri = mesh.triangles
-    m = mesh.n_triangles
     n_u, n_p = dofmap.n_u, dofmap.n_p
-    a, g, mass, stiff = _element_tables(mesh)
+    a, g, mass, stiff, div = _element_tables(mesh)
     alpha, dt = scheme.alpha, scheme.dt
 
     m_w = params.m_weights
@@ -240,70 +271,46 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
     t1p = params.tau1p_eff
     t2 = params.tau2_eff
 
-    I = np.broadcast_to(tri[:, :, None], (m, 3, 3))
-    J = np.broadcast_to(tri[:, None, :], (m, 3, 3))
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(np.ravel(r))
-        cols.append(np.ravel(c))
-        vals.append(np.ravel(v))
-
     # velocity-velocity: time derivative + viscosity on each component,
     # grad-div coupling across components
     diag_block = (w_w / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
+    blocks = []
     for c in range(2):
-        add(c * n_u + I, c * n_u + J, diag_block)
+        blocks.append((c * n_u, c * n_u, diag_block))
         for cp in range(2):
-            gd = (alpha * t2 * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
-            add(c * n_u + I, cp * n_u + J, gd)
-
-    # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
+            blocks.append((c * n_u, cp * n_u, _grad_div(a, g, alpha * t2, c, cp)))
     for c in range(2):
-        galerkin = -(a / 3.0)[:, None, None] * np.broadcast_to(
-            g[:, :, c][:, :, None], (m, 3, 3))
-        subscale = -(m_w * a / 3.0)[:, None, None] * np.broadcast_to(
-            g[:, None, :, c], (m, 3, 3))
-        add(c * n_u + I, 2 * n_u + J, galerkin + subscale)
-
-    # continuity-velocity: Galerkin (div u_mid, q) and subscale
-    # tau1p*(u_new/dt, grad q)
-    for c in range(2):
-        galerkin = (alpha * a / 3.0)[:, None, None] * np.broadcast_to(
-            g[:, None, :, c], (m, 3, 3))
-        subscale = (t1p * a / (3.0 * dt))[:, None, None] * np.broadcast_to(
-            g[:, :, c][:, :, None], (m, 3, 3))
-        add(2 * n_u + I, c * n_u + J, galerkin + subscale)
-
+        gc = g[:, :, c]
+        # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
+        blocks.append((c * n_u, 2 * n_u, -div[:, c].transpose(0, 2, 1)
+                       - (m_w * a / 3.0)[:, None, None] * gc[:, None, :]))
+        # continuity-velocity: Galerkin (div u_mid, q) and subscale
+        # tau1p*(u_new/dt, grad q)
+        blocks.append((2 * n_u, c * n_u, alpha * div[:, c]
+                       + (t1p * a / (3.0 * dt))[:, None, None] * gc[:, :, None]))
     # continuity-pressure: tau1p * pressure Laplacian
-    add(2 * n_u + I, 2 * n_u + J, t1p[:, None, None] * stiff)
+    blocks.append((2 * n_u, 2 * n_u, t1p[:, None, None] * stiff))
+    rows, cols, vals = _scatter(mesh.triangles, blocks)
 
     if not constrained:
         n_total = 2 * n_u + n_p
-        return linalg.from_triplets(
-            n_total, n_total,
-            (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
+        return linalg.from_triplets(n_total, n_total, (rows, cols, vals))
 
     n_total = dofmap.n_dofs
     mult = dofmap.multiplier_index
     p_idx = 2 * n_u + np.arange(n_p)
-    add(p_idx, np.full(n_p, mult), dofmap.mean_vector)
-    add(np.full(n_p, mult), p_idx, dofmap.mean_vector)
-
-    all_rows = np.concatenate(rows)
-    all_cols = np.concatenate(cols)
-    all_vals = np.concatenate(vals)
+    rows = np.concatenate([rows, p_idx, np.full(n_p, mult)])
+    cols = np.concatenate([cols, np.full(n_p, mult), p_idx])
+    vals = np.concatenate([vals, dofmap.mean_vector, dofmap.mean_vector])
 
     # Dirichlet row replacement: drop every entry of a constrained row, then
     # put a 1 on its diagonal.
-    is_dirichlet = dofmap.dirichlet_mask(n_total)
-    keep = ~is_dirichlet[all_rows]
+    keep = ~dofmap.dirichlet_mask(n_total)[rows]
     d = dofmap.dirichlet_dofs
-    all_rows = np.concatenate([all_rows[keep], d])
-    all_cols = np.concatenate([all_cols[keep], d])
-    all_vals = np.concatenate([all_vals[keep], np.ones(d.size)])
-    return linalg.from_triplets(n_total, n_total, (all_rows, all_cols, all_vals))
+    rows = np.concatenate([rows[keep], d])
+    cols = np.concatenate([cols[keep], d])
+    vals = np.concatenate([vals[keep], np.ones(d.size)])
+    return linalg.from_triplets(n_total, n_total, (rows, cols, vals))
 
 
 def _theta_forcing(forcing, pts, t_old, t_new, alpha):
@@ -414,6 +421,7 @@ class ReducedFactor:
     """
 
     def __init__(self, matrix, dofmap):
+        self.matrix = matrix
         self.dirichlet = dofmap.dirichlet_dofs
         self.mean = dofmap.mean_vector
         self.p_block = slice(2 * dofmap.n_u, dofmap.multiplier_index)
@@ -429,7 +437,11 @@ class ReducedFactor:
             linalg.SparseMatrix(csr[self.kept][:, self.kept]))
 
     def solve(self, rhs):
-        """Solution of K x = rhs, multiplier included."""
+        """Solution of K x = rhs, multiplier included.
+
+        Raises SingularMatrixError when the relative residual against the
+        full constrained K exceeds ``linalg.DIRECT_RESIDUAL_TOL``.
+        """
         x = np.zeros(rhs.shape)
         x[self.dirichlet] = rhs[self.dirichlet]
         b = rhs[self.interior] - self.lift @ x[self.dirichlet]
@@ -440,38 +452,24 @@ class ReducedFactor:
         p = x[self.p_block]
         p -= (self.mean @ p) / self.mean.sum()
         x[self.multiplier] = lam
-        return x
-
-
-def _prepare_solver(mesh, dofmap, scheme, params, solver, gmres_tol):
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    if solver == "direct":
-        return {"matrix": matrix, "factor": ReducedFactor(matrix, dofmap),
-                "solver": solver}
-    if solver == "gmres":
-        return {"matrix": matrix, "solver": solver, "tol": gmres_tol}
-    raise ValueError(f"unknown solver '{solver}'")
-
-
-def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
-         solver="direct", gmres_tol=1e-9, prepared=None):
-    """Advance one time step; returns (state_{n+1}, subscale_{n+1})."""
-    if prepared is None:
-        prepared = _prepare_solver(mesh, dofmap, scheme, params, solver, gmres_tol)
-    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing)
-
-    if prepared["solver"] == "direct":
-        x = prepared["factor"].solve(rhs)
-        denom = np.linalg.norm(rhs) or 1.0
-        res = np.linalg.norm(prepared["matrix"].csr @ x - rhs) / denom
+        res = np.linalg.norm(self.matrix.csr @ x - rhs) / (np.linalg.norm(rhs) or 1.0)
         if not np.isfinite(res) or res > linalg.DIRECT_RESIDUAL_TOL:
             raise linalg.SingularMatrixError(
                 f"direct solve residual {res:.3e} exceeds "
                 f"{linalg.DIRECT_RESIDUAL_TOL:.0e}")
-    else:
-        x0 = np.concatenate([state_n.u1, state_n.u2, state_n.p, [0.0]])
-        x, _ = linalg.solve_gmres(prepared["matrix"], rhs,
-                                  tol=prepared["tol"], x0=x0)
+        return x
+
+
+def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None):
+    """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
+
+    ``factor`` is the step matrix's ``ReducedFactor``; it is built here when
+    not given.
+    """
+    if factor is None:
+        factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing)
+    x = factor.solve(rhs)
 
     n_u, n_p = dofmap.n_u, dofmap.n_p
     state_new = FieldState(u1=x[:n_u], u2=x[n_u:2 * n_u],
@@ -482,8 +480,7 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
 
 
 def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
-                    observer=None, solver="direct", gmres_tol=1e-9,
-                    keep_history=True):
+                    observer=None, keep_history=True):
     """Run the time loop from ``initial`` over ``scheme.n_steps`` steps.
 
     The observer, if given, is called as observer(n, state, subscale) for
@@ -493,8 +490,8 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     StepFailureError carrying the 1-based failing step index.
     """
     try:
-        prepared = _prepare_solver(mesh, dofmap, scheme, params, solver, gmres_tol)
-    except (linalg.SingularMatrixError, linalg.NonConvergenceError) as exc:
+        factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    except linalg.SingularMatrixError as exc:
         # factorization is part of taking the first step
         raise StepFailureError(1, str(exc)) from exc
     subscale = SubscaleState.zeros(mesh)
@@ -505,8 +502,8 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     for n in range(1, scheme.n_steps + 1):
         try:
             state, subscale = step(mesh, dofmap, state, subscale, scheme, params,
-                                   forcing, solver, gmres_tol, prepared=prepared)
-        except (linalg.SingularMatrixError, linalg.NonConvergenceError) as exc:
+                                   forcing, factor)
+        except linalg.SingularMatrixError as exc:
             raise StepFailureError(n, str(exc)) from exc
         if observer is not None:
             observer(n, state, subscale)
@@ -567,49 +564,29 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     """
     tri = mesh.triangles
     n_u, n_p = dofmap.n_u, dofmap.n_p
-    a, g, mass, stiff = _element_tables(mesh)
+    a, g, mass, stiff, div = _element_tables(mesh)
 
-    K = np.zeros((n_u, n_u))
-    M = np.zeros((n_u, n_u))
-    Mp = np.zeros((n_p, n_p))
-    for k in range(mesh.n_triangles):
-        idx = tri[k]
-        K[np.ix_(idx, idx)] += stiff[k]
-        M[np.ix_(idx, idx)] += mass[k]
-        Mp[np.ix_(idx, idx)] += mass[k]
+    def assemble(n_rows, n_cols, blocks):
+        return linalg.from_triplets(n_rows, n_cols, _scatter(tri, blocks)).csr
 
-    A = np.zeros((2 * n_u, 2 * n_u))
-    for c in range(2):
-        A[c * n_u:(c + 1) * n_u, c * n_u:(c + 1) * n_u] = K + M
-    B = np.zeros((n_p, 2 * n_u))
-    for k in range(mesh.n_triangles):
-        idx = tri[k]
-        for c in range(2):
-            B[np.ix_(idx, c * n_u + idx)] += a[k] / 3.0 * np.tile(g[k, :, c], (3, 1))
-
+    blocks = [(c * n_u, c * n_u, stiff + mass) for c in range(2)]
     if stabilized:
-        t2 = params.tau2_eff
-        for k in range(mesh.n_triangles):
-            idx = tri[k]
-            for c in range(2):
-                for cp in range(2):
-                    A[np.ix_(c * n_u + idx, cp * n_u + idx)] += (
-                        t2[k] * a[k] * np.outer(g[k, :, c], g[k, :, cp]))
+        blocks += [(c * n_u, cp * n_u, _grad_div(a, g, params.tau2_eff, c, cp))
+                   for c in range(2) for cp in range(2)]
+    A = assemble(2 * n_u, 2 * n_u, blocks)
+    B = assemble(n_p, 2 * n_u, [(0, c * n_u, div[:, c]) for c in range(2)])
+    Mp = assemble(n_p, n_p, [(0, 0, mass)])
 
     free = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
-    A_ff = A[np.ix_(free, free)]
-    B_f = B[:, free]
+    A_ff = A[free][:, free].toarray()
+    B_f = B[:, free].toarray()
     S = B_f @ np.linalg.solve(A_ff, B_f.T)
-
     if stabilized:
-        t1p = params.tau1p_eff
-        for k in range(mesh.n_triangles):
-            idx = tri[k]
-            S[np.ix_(idx, idx)] += t1p[k] * stiff[k]
+        S += assemble(n_p, n_p, [(0, 0, params.tau1p_eff[:, None, None] * stiff)]).toarray()
 
     Zp = scipy.linalg.null_space(dofmap.mean_vector[None, :])
     Sz = Zp.T @ S @ Zp
-    Mz = Zp.T @ Mp @ Zp
+    Mz = Zp.T @ (Mp @ Zp)
     eigs = scipy.linalg.eigh(Sz, Mz, eigvals_only=True)
     cutoff = 1e-10 * max(eigs.max(), 1e-300)
     nonzero = eigs[eigs > cutoff]

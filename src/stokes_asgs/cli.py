@@ -6,12 +6,12 @@ significant digits so repeated runs produce byte-identical CSV.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
 from . import manufactured
-from .asgs_core import StepFailureError
-from .linalg import NonConvergenceError, SingularMatrixError
+from .asgs_core import StepFailureError, count_steps
 
 
 @dataclass
@@ -24,8 +24,6 @@ class RunConfig:
     c1: float = 4.0
     c2: float = 2.0
     stabilized: bool = True
-    solver: str = "direct"
-    gmres_tol: float = 1e-9
     out: str = None
 
 
@@ -42,8 +40,6 @@ _CASTS = {
     "c1": float,
     "c2": float,
     "stabilized": lambda s: {"true": True, "false": False, "1": True, "0": False}[str(s).lower()],
-    "solver": str,
-    "gmres_tol": float,
     "out": str,
 }
 
@@ -53,14 +49,14 @@ def _validate(cfg):
         raise ConfigError(f"nx must be >= 1, got {cfg.nx}")
     if cfg.theta not in (0, 1):
         raise ConfigError(f"theta must be 0 or 1, got {cfg.theta}")
-    for key in ("dt", "t_final", "mu", "c1", "c2", "gmres_tol"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
-    if cfg.solver not in ("direct", "gmres"):
-        raise ConfigError(f"solver must be 'direct' or 'gmres', got '{cfg.solver}'")
-    n_steps = round(cfg.t_final / cfg.dt)
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(cfg.t_final, 1.0):
-        raise ConfigError(f"t_final {cfg.t_final} is not an integer multiple of dt {cfg.dt}")
+    for key in ("dt", "t_final", "mu", "c1", "c2"):
+        value = getattr(cfg, key)
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"{key} must be finite and positive, got {value}")
+    try:
+        count_steps(cfg.t_final, cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -115,8 +111,7 @@ def cmd_solve(cfg):
     try:
         result = manufactured.run_verification_solve(
             cfg.nx, cfg.dt, cfg.theta, cfg.t_final, mu=cfg.mu, c1=cfg.c1,
-            c2=cfg.c2, stabilized=cfg.stabilized, solver=cfg.solver,
-            gmres_tol=cfg.gmres_tol, collect_steps=True)
+            c2=cfg.c2, stabilized=cfg.stabilized, collect_steps=True)
     except StepFailureError as exc:
         print(f"error: solve failed at {exc}", file=sys.stderr)
         return 1
@@ -141,21 +136,16 @@ def cmd_study(cfg, levels, time_study=False):
     if levels < 2:
         print("error: study needs at least 2 levels", file=sys.stderr)
         return 2
-    results = []
-    for i in range(levels):
-        nx = cfg.nx if time_study else cfg.nx * 2 ** i
-        dt = cfg.dt / 2 ** i
-        try:
-            results.append(manufactured.run_verification_solve(
-                nx, dt, cfg.theta, cfg.t_final, mu=cfg.mu, c1=cfg.c1,
-                c2=cfg.c2, stabilized=cfg.stabilized, solver=cfg.solver,
-                gmres_tol=cfg.gmres_tol))
-        except StepFailureError as exc:
-            print(f"error: level {i} (nx={nx}, dt={dt:g}) failed at {exc}",
-                  file=sys.stderr)
-            return 1
-    table = manufactured.rate_table(results,
-                                    rate_against="dt" if time_study else "h")
+    try:
+        table, _ = manufactured.run_convergence_study(
+            cfg.nx, cfg.dt, levels, theta=cfg.theta, t_final=cfg.t_final,
+            mu=cfg.mu, c1=cfg.c1, c2=cfg.c2, stabilized=cfg.stabilized,
+            time_study=time_study)
+    except StepFailureError as exc:
+        i, nx, dt = exc.level
+        print(f"error: level {i} (nx={nx}, dt={dt:g}) failed at {exc}",
+              file=sys.stderr)
+        return 1
     lines = ["level,nx,h,dt,err_u_vtilde,err_p_l2l2,total,roc,eta"]
     for row in table.rows:
         roc = "" if row.level == 0 else _fmt(row.roc)
@@ -177,13 +167,12 @@ def _add_common_flags(parser):
     parser.add_argument("--c1", type=float)
     parser.add_argument("--c2", type=float)
     parser.add_argument("--no-stab", dest="no_stab", action="store_true")
-    parser.add_argument("--solver", choices=("direct", "gmres"))
     parser.add_argument("--out", metavar="F")
 
 
 def _config_from_args(args):
     overrides = {}
-    for key in ("nx", "dt", "theta", "t_final", "mu", "c1", "c2", "solver", "out"):
+    for key in ("nx", "dt", "theta", "t_final", "mu", "c1", "c2", "out"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value

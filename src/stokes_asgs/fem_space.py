@@ -86,17 +86,25 @@ def _rule_degree8():
     return points, weights
 
 
-_RULES = {2: _rule_degree2, 5: _rule_degree5, 8: _rule_degree8}
-
-
-def quadrature_rule(degree):
-    """Return the quadrature rule exact to ``degree`` (one of 2, 5, 8)."""
-    if degree not in _RULES:
-        raise ValueError(f"unsupported quadrature degree {degree}; choose from {sorted(_RULES)}")
-    points, weights = _RULES[degree]()
+def _frozen_rule(degree, build):
+    points, weights = build()
     points.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(points=points, weights=weights, degree=degree)
+
+
+_RULES = {d: _frozen_rule(d, build) for d, build in
+          ((2, _rule_degree2), (5, _rule_degree5), (8, _rule_degree8))}
+
+
+def quadrature_rule(degree):
+    """Return the quadrature rule exact to ``degree`` (one of 2, 5, 8).
+
+    Each rule is built once; every call returns the same read-only object.
+    """
+    if degree not in _RULES:
+        raise ValueError(f"unsupported quadrature degree {degree}; choose from {sorted(_RULES)}")
+    return _RULES[degree]
 
 
 def p1_eval(bary):

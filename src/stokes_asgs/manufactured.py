@@ -25,7 +25,7 @@ import numpy as np
 
 from . import asgs_core
 from .asgs_core import (FieldState, StabilizationParams, SubscaleState,
-                        TimeScheme)
+                        TimeScheme, count_steps)
 from .fem_space import build_dofmap, interpolate, quadrature_rule
 from .mesh import build_unit_square_mesh
 
@@ -356,17 +356,13 @@ class _VerificationObserver:
 
 
 def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
-                           stabilized=True, solver="direct", gmres_tol=1e-9,
-                           collect_steps=False):
+                           stabilized=True, collect_steps=False):
     """Solve the manufactured problem and return a LevelResult.
 
     The initial velocity is the nodal interpolant of the exact solution at
     t = 0 and the subscales start from zero.
     """
-    n_steps = round(t_final / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
-        raise ValueError(f"t_final {t_final} is not an integer multiple of dt {dt}")
-
+    n_steps = count_steps(t_final, dt)
     mesh = build_unit_square_mesh(nx)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=n_steps)
@@ -381,8 +377,7 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
     observer = _VerificationObserver(mesh, scheme, forcing_fn, DEFAULT_EXACT,
                                      collect_steps=collect_steps)
     asgs_core.solve_transient(mesh, dofmap, scheme, params, forcing_fn,
-                              initial, observer=observer, solver=solver,
-                              gmres_tol=gmres_tol, keep_history=False)
+                              initial, observer=observer, keep_history=False)
     acc = observer.acc
     return LevelResult(nx=nx, dt=dt, theta=theta,
                        err_u_vtilde=acc.err_u_vtilde,
@@ -397,19 +392,24 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
 
 def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
                           mu=0.1, c1=4.0, c2=2.0, stabilized=True,
-                          solver="direct", gmres_tol=1e-9, time_study=False):
+                          time_study=False):
     """Run a sequence of refined solves and rate them.
 
     Level i halves dt i times; unless ``time_study`` it also doubles nx, in
     which case rates are taken against h, otherwise against dt.
-    Returns (RateTable, [LevelResult]).
+    Returns (RateTable, [LevelResult]).  A failing solve's StepFailureError
+    is re-raised with ``level`` set to (i, nx, dt).
     """
     results = []
     for i in range(levels):
         nx = base_nx if time_study else base_nx * 2 ** i
         dt = base_dt / 2 ** i
-        results.append(run_verification_solve(
-            nx, dt, theta, t_final, mu=mu, c1=c1, c2=c2,
-            stabilized=stabilized, solver=solver, gmres_tol=gmres_tol))
+        try:
+            results.append(run_verification_solve(
+                nx, dt, theta, t_final, mu=mu, c1=c1, c2=c2,
+                stabilized=stabilized))
+        except asgs_core.StepFailureError as exc:
+            exc.level = (i, nx, dt)
+            raise
     table = rate_table(results, rate_against="dt" if time_study else "h")
     return table, results

@@ -7,12 +7,11 @@ from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
                          element_geometry)
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    ReducedFactor, StepFailureError,
-                                   SubscaleState, TimeScheme, _prepare_solver,
+                                   SubscaleState, TimeScheme, _element_tables,
                                    assemble_lhs, assemble_rhs, assemble_system,
                                    coercivity_check, coercivity_operator,
                                    compute_taus, infsup_constant,
-                                   local_galerkin_matrices, solve_transient,
-                                   step, update_subscales)
+                                   solve_transient, step, update_subscales)
 from stokes_asgs.fem_space import quadrature_rule
 from stokes_asgs.manufactured import exact_velocity, forcing
 
@@ -96,7 +95,7 @@ def test_time_scheme_validation():
 def test_local_mass_matrix():
     mesh = build_unit_square_mesh(3)
     geo = element_geometry(mesh, 4)
-    mass, _, _ = local_galerkin_matrices(geo)
+    mass = _element_tables(mesh)[2][4]
     expected = geo.area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     assert np.abs(mass - expected).max() < 1e-16
     assert np.allclose(mass.sum(axis=1), geo.area / 3.0)
@@ -106,7 +105,7 @@ def test_local_stiffness_unit_right_triangle():
     from stokes_asgs.mesh import Mesh
     tri = Mesh(1, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                np.array([[0, 1, 2], [1, 3, 2]]))
-    _, stiff, _ = local_galerkin_matrices(element_geometry(tri, 0))
+    stiff = _element_tables(tri)[3][0]
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     assert np.abs(stiff - expected).max() < 1e-15
 
@@ -114,7 +113,7 @@ def test_local_stiffness_unit_right_triangle():
 def test_local_div_coupling():
     mesh = build_unit_square_mesh(2)
     geo = element_geometry(mesh, 0)
-    _, _, div = local_galerkin_matrices(geo)
+    div = _element_tables(mesh)[4][0]
     for c in range(2):
         for i in range(3):
             for j in range(3):
@@ -386,9 +385,9 @@ def test_direct_factor_fill_guard():
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.025, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    prepared = _prepare_solver(mesh, dofmap, scheme, params, "direct", 1e-9)
-    lu = prepared["factor"].factor.lu
-    assert lu.L.nnz + lu.U.nnz <= 10 * prepared["matrix"].n_nonzeros
+    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    lu = ReducedFactor(matrix, dofmap).factor.lu
+    assert lu.L.nnz + lu.U.nnz <= 10 * matrix.n_nonzeros
 
 
 # ------------------------------------------------------------ subscales
@@ -526,6 +525,48 @@ def test_infsup_unstabilized_small_mesh():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
     beta = infsup_constant(mesh, dofmap, False, params)
     assert 0.0 <= beta <= 1.0
+
+
+def _infsup_element_loop(mesh, dofmap, stabilized, params):
+    """Reference beta_h: dense blocks assembled element by element."""
+    import scipy.linalg
+    n_u, n_p = dofmap.n_u, dofmap.n_p
+    A = np.zeros((2 * n_u, 2 * n_u))
+    B = np.zeros((n_p, 2 * n_u))
+    Mp = np.zeros((n_p, n_p))
+    L = np.zeros((n_p, n_p))
+    for k in range(mesh.n_triangles):
+        geo = element_geometry(mesh, k)
+        a, g, idx = geo.area, geo.shape_gradients, mesh.triangles[k]
+        mass = a / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        stiff = a * g @ g.T
+        Mp[np.ix_(idx, idx)] += mass
+        L[np.ix_(idx, idx)] += params.tau1p_eff[k] * stiff
+        for c in range(2):
+            A[np.ix_(c * n_u + idx, c * n_u + idx)] += stiff + mass
+            B[np.ix_(idx, c * n_u + idx)] += a / 3.0 * np.tile(g[:, c], (3, 1))
+            for cp in range(2):
+                if stabilized:
+                    A[np.ix_(c * n_u + idx, cp * n_u + idx)] += (
+                        params.tau2_eff[k] * a * np.outer(g[:, c], g[:, cp]))
+    free = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
+    S = B[:, free] @ np.linalg.solve(A[np.ix_(free, free)], B[:, free].T)
+    if stabilized:
+        S += L
+    Zp = scipy.linalg.null_space(dofmap.mean_vector[None, :])
+    eigs = scipy.linalg.eigh(Zp.T @ S @ Zp, Zp.T @ Mp @ Zp, eigvals_only=True)
+    return float(np.sqrt(eigs[eigs > 1e-10 * eigs.max()].min()))
+
+
+@pytest.mark.parametrize("nx", [3, 6])
+@pytest.mark.parametrize("stabilized", [True, False])
+def test_infsup_matches_element_loop(nx, stabilized):
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
+    beta = infsup_constant(mesh, dofmap, stabilized, params)
+    ref = _infsup_element_loop(mesh, dofmap, stabilized, params)
+    assert beta == pytest.approx(ref, rel=1e-10)
 
 
 def test_infsup_stabilized_does_not_collapse():

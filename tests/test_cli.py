@@ -1,5 +1,10 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokes_asgs.cli import ConfigError, RunConfig, main, parse_config
 
@@ -90,21 +95,6 @@ def test_study_labels_failing_level(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solver_flag_gmres(tmp_path):
-    out_d = tmp_path / "d.csv"
-    out_g = tmp_path / "g.csv"
-    assert run_cli(["solve", "--nx", "6", "--dt", "0.25", "--out", str(out_d)]) == 0
-    assert run_cli(["solve", "--nx", "6", "--dt", "0.25", "--solver", "gmres",
-                    "--out", str(out_g)]) == 0
-    # same physics within the iterative tolerance
-    rows_d = out_d.read_text().splitlines()[1:-1]
-    rows_g = out_g.read_text().splitlines()[1:-1]
-    for rd, rg in zip(rows_d, rows_g):
-        vd = [float(v) for v in rd.split(",")]
-        vg = [float(v) for v in rg.split(",")]
-        assert vd[2] == pytest.approx(vg[2], rel=1e-4, abs=1e-9)
-
-
 # ------------------------------------------------------------- config
 
 def test_parse_config_empty_file_gives_defaults(tmp_path):
@@ -130,6 +120,9 @@ def test_parse_config_unknown_key(tmp_path):
     cfg_file.write_text("viscosity = 0.1\n")
     with pytest.raises(ConfigError, match="viscosity"):
         parse_config(str(cfg_file))
+    cfg_file.write_text("solver = direct\n")
+    with pytest.raises(ConfigError, match="solver"):
+        parse_config(str(cfg_file))
 
 
 def test_parse_config_rejects_fractional_theta():
@@ -145,6 +138,41 @@ def test_parse_config_rejects_nonpositive_t_final():
 def test_parse_config_rejects_incompatible_dt():
     with pytest.raises(ConfigError):
         parse_config(None, {"dt": 0.3, "t_final": 1.0})
+
+
+@pytest.mark.parametrize("key,value", [("dt", "nan"), ("t_final", "inf"),
+                                       ("mu", "nan"), ("c1", "-inf"),
+                                       ("dt", "1e-320")])
+def test_parse_config_rejects_non_finite(tmp_path, key, value):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError):
+        parse_config(str(cfg_file))
+
+
+_KEYS = [f.name for f in fields(RunConfig)] + ["solver", "viscosity", "", "nx x"]
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e3", "1e308", "1e-320",
+                     "", "0", "-1", "0.1", "0.05", "1", "2", "true", "0.3"]),
+    st.text(max_size=8))
+_LINES = st.one_of(st.tuples(st.sampled_from(_KEYS), _VALUES).map(
+    lambda kv: f"{kv[0]} = {kv[1]}"), st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_parse_config_total_on_arbitrary_text(tmp_path_factory, lines):
+    # any text either parses to a usable config or raises ConfigError
+    cfg_file = tmp_path_factory.getbasetemp() / "arbitrary.cfg"
+    cfg_file.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = parse_config(str(cfg_file))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    for key in ("dt", "t_final", "mu", "c1", "c2"):
+        value = getattr(cfg, key)
+        assert math.isfinite(value) and value > 0
 
 
 def test_cli_usage_error_exit_code(tmp_path):

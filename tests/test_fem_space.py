@@ -20,6 +20,9 @@ def test_rule_basics(degree):
     assert abs(rule.weights.sum() - 1.0) < 1e-14
     assert np.all(rule.points >= 0.0) and np.all(rule.points <= 1.0)
     assert np.abs(rule.points.sum(axis=1) - 1.0).max() < 1e-14
+    # built once and shared: every caller gets the same read-only arrays
+    assert quadrature_rule(degree) is rule
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
 
 
 @pytest.mark.parametrize("degree,n_points", [(2, 3), (5, 7), (8, 16)])

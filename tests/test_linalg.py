@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from stokes_asgs import (NonConvergenceError, SingularMatrixError,
-                         build_dofmap, build_unit_square_mesh, from_triplets,
-                         solve_direct, solve_gmres, spmv)
-from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
-                                   SubscaleState, TimeScheme, assemble_system)
+from stokes_asgs import (SingularMatrixError, build_dofmap,
+                         build_unit_square_mesh, from_triplets)
+from stokes_asgs.asgs_core import (FieldState, ReducedFactor,
+                                   StabilizationParams, SubscaleState,
+                                   TimeScheme, assemble_system)
+from stokes_asgs.linalg import DIRECT_RESIDUAL_TOL, DirectFactor
 from stokes_asgs.manufactured import forcing
 
 
@@ -49,46 +50,30 @@ def test_csr_invariants_random():
     cols = rng.integers(0, 50, 400)
     vals = rng.standard_normal(400)
     A = from_triplets(50, 50, (rows, cols, vals))
+    csr = A.csr
     # sorted, unique column indices per row; monotone offsets
     for i in range(50):
-        seg = A.col_indices[A.row_offsets[i]:A.row_offsets[i + 1]]
+        seg = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
         assert np.all(np.diff(seg) > 0)
-    assert np.all(np.diff(A.row_offsets) >= 0)
-    assert A.n_nonzeros == A.row_offsets[-1]
-    # spmv against a dense oracle
+    assert np.all(np.diff(csr.indptr) >= 0)
+    assert A.n_nonzeros == csr.indptr[-1]
+    # product against a dense oracle
     dense = np.zeros((50, 50))
     for r, c, v in zip(rows, cols, vals):
         dense[r, c] += v
     x = rng.standard_normal(50)
-    assert np.abs(spmv(A, x) - dense @ x).max() < 1e-13
-
-
-def test_spmv_identity_and_zero():
-    I = from_triplets(4, 4, [(i, i, 1.0) for i in range(4)])
-    x = np.arange(4.0)
-    assert np.allclose(spmv(I, x), x)
-    Z = from_triplets(4, 4, [])
-    assert np.all(spmv(Z, x) == 0.0)
-
-
-def test_spmv_dimension_mismatch():
-    I = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
-    with pytest.raises(ValueError):
-        spmv(I, np.ones(4))
+    assert np.abs(csr @ x - dense @ x).max() < 1e-13
 
 
 def test_direct_identity():
     I = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
     b = np.array([1.0, -2.0, 3.0])
-    x, report = solve_direct(I, b)
-    assert np.allclose(x, b)
-    assert report.method == "direct"
-    assert report.relative_residual <= 1e-10
+    assert np.allclose(DirectFactor(I).solve(b), b)
 
 
 def test_direct_two_by_two():
     A = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)])
-    x, _ = solve_direct(A, np.array([3.0, 4.0]))
+    x = DirectFactor(A).solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
 
@@ -98,58 +83,12 @@ def test_direct_on_assembled_system():
     b = rng.standard_normal(dofmap.n_dofs)
     b[dofmap.dirichlet_dofs] = 0.0
     b[dofmap.multiplier_index] = 0.0
-    x, report = solve_direct(system.matrix, b)
-    assert report.relative_residual <= 1e-10
+    x = ReducedFactor(system.matrix, dofmap).solve(b)
+    res = np.linalg.norm(system.matrix.csr @ x - b) / np.linalg.norm(b)
+    assert res <= DIRECT_RESIDUAL_TOL
 
 
 def test_direct_singular_raises():
     A = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(SingularMatrixError):
-        solve_direct(A, np.ones(2))
-
-
-def test_gmres_identity_one_iteration():
-    I = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
-    x, report = solve_gmres(I, np.array([1.0, 2.0, 3.0]), tol=1e-12)
-    assert np.allclose(x, [1.0, 2.0, 3.0])
-    assert report.iterations <= 1
-
-
-def test_gmres_two_by_two():
-    A = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)])
-    x, _ = solve_gmres(A, np.array([3.0, 4.0]), tol=1e-12)
-    assert np.allclose(x, [1.0, 1.0], atol=1e-10)
-
-
-def test_gmres_nonconvergence_carries_iterate():
-    # wide spread of eigenvalues plus a 1-iteration budget
-    rng = np.random.default_rng(2)
-    n = 40
-    dense = np.diag(np.linspace(1, 1e6, n)) + rng.standard_normal((n, n))
-    rows, cols = np.nonzero(dense)
-    A = from_triplets(n, n, (rows, cols, dense[rows, cols]))
-    with pytest.raises(NonConvergenceError) as info:
-        solve_gmres(A, np.ones(n), tol=1e-14, max_iter=2, restart=2)
-    assert info.value.best_x.shape == (n,)
-    assert np.isfinite(info.value.residual)
-
-
-def test_gmres_matches_direct_on_assembled():
-    system, dofmap = _assembled(10)
-    xd, _ = solve_direct(system.matrix, system.rhs)
-    xg, report = solve_gmres(system.matrix, system.rhs, tol=1e-9)
-    assert report.relative_residual <= 1e-9
-    assert np.abs(xg - xd).max() < 1e-7
-
-
-@pytest.mark.parametrize("nx", [4, 10, 20])
-def test_solver_cross_agreement(nx):
-    system, dofmap = _assembled(nx)
-    xd, rd = solve_direct(system.matrix, system.rhs)
-    xg, rg = solve_gmres(system.matrix, system.rhs, tol=1e-9)
-    assert np.abs(xd - xg).max() < max(10 * 1e-9, 1e-8)
-    # recomputed residual consistent with the report
-    for x, rep in ((xd, rd), (xg, rg)):
-        resid = np.linalg.norm(spmv(system.matrix, x) - system.rhs)
-        resid /= np.linalg.norm(system.rhs)
-        assert resid <= 1.1 * max(rep.relative_residual, 1e-16)
+        DirectFactor(A)

@@ -225,7 +225,7 @@ def test_linear_field_kernels_exact():
         assert np.abs(grads[:, d, 1] - c2).max() <= 1e-13
 
     u_loc = np.stack([u1[mesh.triangles], u2[mesh.triangles]], axis=-1)
-    _, _, mass, stiff = _element_tables(mesh)
+    _, _, mass, stiff, _ = _element_tables(mesh)
     mass_u, stiff_u, _ = _p1_actions(mesh, u_loc)
     assert np.abs(mass_u - mass @ u_loc).max() <= 1e-14
     assert np.abs(stiff_u - stiff @ u_loc).max() <= 1e-14
