@@ -313,19 +313,53 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
     return linalg.from_triplets(n_total, n_total, (rows, cols, vals))
 
 
-def _theta_forcing(forcing, pts, t_old, t_new, alpha):
+def _forcing_at(forcing, pts, t):
+    """``forcing(x, y, t)`` at the points ``pts``, stacked to (..., 2)."""
     x, y = pts[..., 0], pts[..., 1]
+    return np.stack([np.broadcast_to(f, x.shape) for f in forcing(x, y, t)], axis=-1)
 
-    def at(t):
-        return np.stack([np.broadcast_to(f, x.shape) for f in forcing(x, y, t)], axis=-1)
 
+class LevelForcing:
+    """A forcing at the assembly points, evaluated once per time level.
+
+    ``assemble_rhs`` and ``update_subscales`` read the same levels, and under
+    Crank-Nicolson a step's t_{n+1} is the next step's t_n.  A time loop only
+    moves forward, so a new level replaces every kept level but the latest.
+    The values are ``forcing(x, y, t)`` itself, never a rescaled copy.
+    """
+
+    def __init__(self, forcing, mesh):
+        self.forcing = forcing
+        self.pts = mesh.quad_points(quadrature_rule(ASSEMBLY_QUAD_DEGREE))
+        self._levels = {}
+
+    def __call__(self, t):
+        values = self._levels.get(t)
+        if values is None:
+            values = _forcing_at(self.forcing, self.pts, t)
+            if self._levels:
+                latest = max(self._levels)
+                self._levels = {latest: self._levels[latest]}
+            self._levels[t] = values
+        return values
+
+
+def _levels(forcing, mesh):
+    return forcing if isinstance(forcing, LevelForcing) else LevelForcing(forcing, mesh)
+
+
+def _theta_forcing(at, t_old, t_new, alpha):
+    """alpha*f(t_new) + (1-alpha)*f(t_old) from the per-level values ``at(t)``."""
     if alpha == 1:  # backward Euler gives t_old no weight
         return at(t_new)
     return alpha * at(t_new) + (1 - alpha) * at(t_old)
 
 
 def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
-    """Right-hand side for the step starting from ``state_n``."""
+    """Right-hand side for the step starting from ``state_n``.
+
+    ``forcing`` is forcing(x, y, t) or a ``LevelForcing`` of it.
+    """
     tri = mesh.triangles
     n_u = dofmap.n_u
     a, g = mesh.areas, mesh.shape_gradients
@@ -337,9 +371,9 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
 
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
     wq = rule.weights
-    pts = mesh.quad_points(rule)
 
-    fvec = _theta_forcing(forcing, pts, state_n.t, state_n.t + dt, alpha)  # (m, nq, 2)
+    fvec = _theta_forcing(_levels(forcing, mesh), state_n.t, state_n.t + dt,
+                          alpha)  # (m, nq, 2)
     # forcing plus the subscale history d = uprime^n/dt_eff
     load = fvec + subscale_n.uprime / dt_eff
 
@@ -377,11 +411,11 @@ def assemble_system(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     return AssembledSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
 
-def _momentum_residual(mesh, rule, state_old, state_new, dt, alpha, forcing):
-    """R1 = f_mid - (u_new - u_old)/dt - grad p, (m, nq, 2), at ``rule``'s points."""
+def _momentum_residual(mesh, rule, state_old, state_new, dt, alpha, at):
+    """R1 = f_mid - (u_new - u_old)/dt - grad p, (m, nq, 2), at ``rule``'s
+    points, where ``at(t)`` gives the forcing there at level t."""
     tri = mesh.triangles
-    fvec = _theta_forcing(forcing, mesh.quad_points(rule), state_old.t,
-                          state_old.t + dt, alpha)
+    fvec = _theta_forcing(at, state_old.t, state_old.t + dt, alpha)
     du_loc = np.stack([(state_new.u1 - state_old.u1)[tri],
                        (state_new.u2 - state_old.u2)[tri]], axis=-1) / dt
     gradp = np.matmul(state_new.p[tri][:, None, :], mesh.shape_gradients)
@@ -396,11 +430,13 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     residual R1 = f_mid - (u_new - u_old)/dt - grad p (P1 fields carry no
     Laplacian), and returns the end-level history
     uprime_new = (uprime_mid - (1 - alpha)*uprime_old)/alpha.  For backward
-    Euler (alpha = 1) the two levels coincide.
+    Euler (alpha = 1) the two levels coincide.  ``forcing`` is as in
+    ``assemble_rhs``.
     """
     alpha = scheme.alpha
     resid = _momentum_residual(mesh, quadrature_rule(ASSEMBLY_QUAD_DEGREE),
-                               state_old, state_new, scheme.dt, alpha, forcing)
+                               state_old, state_new, scheme.dt, alpha,
+                               _levels(forcing, mesh))
     uprime_mid = params.tau1p_eff[:, None, None] * (resid + subscale_n.uprime / scheme.dt_eff)
     return SubscaleState((uprime_mid - (1 - alpha) * subscale_n.uprime) / alpha)
 
@@ -464,10 +500,12 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
     """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
 
     ``factor`` is the step matrix's ``ReducedFactor``; it is built here when
-    not given.
+    not given.  ``assemble_rhs`` and ``update_subscales`` share one
+    evaluation of the forcing per time level.
     """
     if factor is None:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    forcing = _levels(forcing, mesh)
     rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing)
     x = factor.solve(rhs)
 
@@ -487,8 +525,10 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     n = 0 (initial data) through n_steps, which allows norm accumulation
     without retaining the trajectory; with ``keep_history=False`` only
     [initial, final] states are returned.  Step failures are re-raised as
-    StepFailureError carrying the 1-based failing step index.
+    StepFailureError carrying the 1-based failing step index.  The forcing
+    is evaluated once per time level.
     """
+    forcing = LevelForcing(forcing, mesh)
     try:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
     except linalg.SingularMatrixError as exc:

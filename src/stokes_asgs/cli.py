@@ -66,20 +66,24 @@ def parse_config(path=None, overrides=None):
     known = {f.name for f in fields(RunConfig)}
     if path is not None:
         updates = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key not in known:
-                    raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-                try:
-                    updates[key] = _CASTS[key](value)
-                except (ValueError, KeyError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            try:
+                updates[key] = _CASTS[key](value)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
         cfg = replace(cfg, **updates)
     if overrides:
         unknown = set(overrides) - known

@@ -238,8 +238,10 @@ def residual_indicator(state_n, state_np1, mesh, dt, theta, forcing_fn):
     a = mesh.areas
     alpha = 0.5 * (1 + theta)
     rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    r1 = asgs_core._momentum_residual(mesh, rule, state_n, state_np1, dt,
-                                      alpha, forcing_fn)
+    pts = mesh.quad_points(rule)
+    r1 = asgs_core._momentum_residual(
+        mesh, rule, state_n, state_np1, dt, alpha,
+        lambda t: asgs_core._forcing_at(forcing_fn, pts, t))
     r1_sq = a * ((r1[..., 0] ** 2 + r1[..., 1] ** 2) @ rule.weights)
     r2_sq = a * _theta_divergence(mesh, state_n, state_np1, alpha) ** 2
 
@@ -314,18 +316,29 @@ class LevelResult:
     steps: list = field(default_factory=list, repr=False)
 
 
+def _separable(fn, pts):
+    """``fn(x, y, t)`` at ``pts`` for a field that is exp(-t) times a spatial
+    factor.  The factor, ``fn`` at t = 0, is evaluated once; the returned
+    function scales it by exp(-t) and ignores the points it is given."""
+    factor = np.asarray(fn(pts[..., 0], pts[..., 1], 0.0))
+    return lambda x, y, t: math.exp(-t) * factor
+
+
 class _VerificationObserver:
     """Accumulates error norms and the indicator along the time loop.
 
     Each level's snapshot error is computed once; its per-point errors are
     kept for the next interval only under Crank-Nicolson, which weights t_n.
+    The exact fields and the forcing are exp(-t) times a spatial factor, so
+    their factors at the error points are evaluated once per mesh.
     """
 
     def __init__(self, mesh, scheme, forcing_fn, exact, collect_steps=False):
         self.mesh = mesh
         self.scheme = scheme
-        self.forcing_fn = forcing_fn
-        self.exact = exact
+        pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
+        self.forcing_fn = _separable(forcing_fn, pts)
+        self.exact = tuple(_separable(fn, pts) for fn in exact)
         self.acc = ErrorAccumulator()
         self.collect_steps = collect_steps
         self.steps = []

@@ -377,17 +377,31 @@ def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2,
     assert abs(dofmap.mean_vector @ new.p) <= 1e-12 * max(1.0, np.abs(new.p).max())
 
 
-def test_direct_factor_fill_guard():
-    # the factorized system must not carry the dense multiplier row: the
-    # full constrained matrix fills to 34x its nnz at nx=40, the reduced
-    # interior system to about 7x
-    mesh = build_unit_square_mesh(40)
+def _reduced_fill(nx, theta):
+    """nnz(L+U) of the reduced factor and nnz of the constrained matrix."""
+    mesh = build_unit_square_mesh(nx)
     dofmap = build_dofmap(mesh)
-    scheme = TimeScheme(theta=1, dt=0.025, n_steps=1)
+    scheme = TimeScheme(theta=theta, dt=1.0 / nx, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     lu = ReducedFactor(matrix, dofmap).factor.lu
-    assert lu.L.nnz + lu.U.nnz <= 10 * matrix.n_nonzeros
+    return lu.L.nnz + lu.U.nnz, matrix.n_nonzeros
+
+
+def test_direct_factor_fill_guard():
+    # the factorized system must not carry the dense multiplier row: the
+    # full constrained matrix fills to 34x its nnz at nx=40, the reduced
+    # interior system to about 5.4x
+    fill, nnz = _reduced_fill(40, 1)
+    assert fill <= 10 * nnz
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_direct_factor_symmetric_ordering(theta):
+    # minimum degree on A^T + A fills the reduced system 5.40x nnz(K) at
+    # nx=40; COLAMD, which ignores its structural symmetry, fills 7.25x
+    fill, nnz = _reduced_fill(40, theta)
+    assert fill <= 6 * nnz
 
 
 # ------------------------------------------------------------ subscales

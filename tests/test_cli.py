@@ -159,12 +159,7 @@ _LINES = st.one_of(st.tuples(st.sampled_from(_KEYS), _VALUES).map(
     lambda kv: f"{kv[0]} = {kv[1]}"), st.text(max_size=12))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_LINES, max_size=6))
-def test_parse_config_total_on_arbitrary_text(tmp_path_factory, lines):
-    # any text either parses to a usable config or raises ConfigError
-    cfg_file = tmp_path_factory.getbasetemp() / "arbitrary.cfg"
-    cfg_file.write_text("\n".join(lines), encoding="utf-8")
+def _assert_total(cfg_file):
     try:
         cfg = parse_config(str(cfg_file))
     except ConfigError:
@@ -175,11 +170,32 @@ def test_parse_config_total_on_arbitrary_text(tmp_path_factory, lines):
         assert math.isfinite(value) and value > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_parse_config_total_on_arbitrary_text(tmp_path_factory, lines):
+    # any text either parses to a usable config or raises ConfigError
+    cfg_file = tmp_path_factory.getbasetemp() / "arbitrary.cfg"
+    cfg_file.write_text("\n".join(lines), encoding="utf-8")
+    _assert_total(cfg_file)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_LINES.map(str.encode), st.binary(max_size=8)),
+                max_size=6))
+def test_parse_config_total_on_arbitrary_bytes(tmp_path_factory, lines):
+    # so do any bytes, UTF-8 or not
+    cfg_file = tmp_path_factory.getbasetemp() / "arbitrary.cfg"
+    cfg_file.write_bytes(b"\n".join(lines))
+    _assert_total(cfg_file)
+
+
 def test_cli_usage_error_exit_code(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("nx = -3\n")
     assert run_cli(["solve", "--config", str(cfg_file)]) == 2
     assert run_cli(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+    cfg_file.write_bytes(b"nx = 4\n\xff\xfe = 1\n")
+    assert run_cli(["solve", "--config", str(cfg_file)]) == 2
 
 
 def test_cli_theta_flag_validation():

@@ -25,13 +25,13 @@ def _assembled(nx, dt=0.1, theta=1):
 
 
 def test_duplicate_triplets_summed():
-    A = from_triplets(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+    A = from_triplets(2, 2, ([0, 0], [0, 0], [1.0, 2.0]))
     assert A.n_nonzeros == 1
     assert A.to_dense()[0, 0] == 3.0
 
 
 def test_empty_triplets():
-    A = from_triplets(3, 4, [])
+    A = from_triplets(3, 4, ([], [], []))
     assert A.n_nonzeros == 0
     assert A.n_rows == 3 and A.n_cols == 4
     assert np.all(A.to_dense() == 0.0)
@@ -39,9 +39,9 @@ def test_empty_triplets():
 
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
-        from_triplets(2, 2, [(2, 0, 1.0)])
+        from_triplets(2, 2, ([2], [0], [1.0]))
     with pytest.raises(ValueError):
-        from_triplets(2, 2, [(0, -1, 1.0)])
+        from_triplets(2, 2, ([0], [-1], [1.0]))
 
 
 def test_csr_invariants_random():
@@ -66,13 +66,13 @@ def test_csr_invariants_random():
 
 
 def test_direct_identity():
-    I = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+    I = from_triplets(3, 3, (np.arange(3), np.arange(3), np.ones(3)))
     b = np.array([1.0, -2.0, 3.0])
     assert np.allclose(DirectFactor(I).solve(b), b)
 
 
 def test_direct_two_by_two():
-    A = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)])
+    A = from_triplets(2, 2, ([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0]))
     x = DirectFactor(A).solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -89,6 +89,6 @@ def test_direct_on_assembled_system():
 
 
 def test_direct_singular_raises():
-    A = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+    A = from_triplets(2, 2, ([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4)))
     with pytest.raises(SingularMatrixError):
         DirectFactor(A)

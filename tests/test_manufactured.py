@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_asgs import build_dofmap, build_unit_square_mesh, interpolate
+from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
+                         manufactured)
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    TimeScheme, _element_tables, _p1_actions,
                                    solve_transient)
 from stokes_asgs.fem_space import quadrature_rule
-from stokes_asgs.manufactured import (ErrorAccumulator, _field_at_quadrature,
+from stokes_asgs.manufactured import (DEFAULT_EXACT, ERROR_QUAD_DEGREE,
+                                      ErrorAccumulator, _field_at_quadrature,
+                                      _VerificationObserver,
                                       accumulate_errors, exact_pressure,
                                       exact_velocity, exact_velocity_gradient,
                                       forcing, rate_table, residual_indicator,
@@ -310,6 +313,35 @@ def test_verification_solve_bitwise_deterministic():
             for theta in (0, 1) for _ in range(2)]
     # LevelResult equality compares every norm and the per-step records
     assert runs[0] == runs[1] and runs[2] == runs[3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 8), t=st.floats(0.0, 2.0))
+def test_observer_field_cache_matches_closed_forms(nx, t):
+    # the observer scales spatial factors evaluated once per mesh by exp(-t)
+    mesh = build_unit_square_mesh(nx)
+    fn = lambda x, y, t: forcing(x, y, t, MU)
+    obs = _VerificationObserver(mesh, TimeScheme(theta=1, dt=0.1, n_steps=1),
+                                fn, DEFAULT_EXACT)
+    pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
+    x, y = pts[..., 0], pts[..., 1]
+    for cached, closed in zip((*obs.exact, obs.forcing_fn), (*DEFAULT_EXACT, fn)):
+        want = np.asarray(closed(x, y, t))
+        got = np.asarray(cached(x, y, t))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("theta,extra", [(1, 1), (0, 2)])
+def test_forcing_evaluated_once_per_level(monkeypatch, theta, extra):
+    # the solver evaluates the forcing once per time level (t_0 included
+    # only under Crank-Nicolson), the observer once per mesh
+    calls = []
+    plain = manufactured.forcing
+    monkeypatch.setattr(manufactured, "forcing",
+                        lambda *args: calls.append(args[2]) or plain(*args))
+    run_verification_solve(4, 0.1, theta, 0.5)
+    assert len(calls) <= 5 + extra
 
 
 # ------------------------------------------------------------- rates
