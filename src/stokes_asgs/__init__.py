@@ -1,8 +1,7 @@
 """Subgrid-scale stabilized P1/P1 finite elements for transient Stokes flow."""
 
-from .asgs_core import (AssembledSystem, FieldState, StabilizationParams,
-                        StepFailureError, SubscaleState, TimeScheme,
-                        assemble_system, compute_taus, coercivity_check,
+from .asgs_core import (FieldState, StabilizationParams, StepFailureError,
+                        SubscaleState, TimeScheme, coercivity_check,
                         infsup_constant, solve_transient, step,
                         update_subscales)
 from .fem_space import (DofMap, QuadratureRule, build_dofmap, interpolate,

@@ -93,27 +93,20 @@ def count_steps(t_final, dt):
 
 
 def _taus(h, mu, c1, c2, dt_eff):
+    """Stabilization parameters of elements of diameter ``h``.
+
+    tau1 = h^2/(c1*mu), tau2 = c2*h^2/tau1 (= c1*c2*mu, mesh independent)
+    and the time-regularized tau1p = tau1*dt_eff/(dt_eff + tau1).  The h^2
+    in tau2 keeps the grad-div weight bounded under refinement; an unbounded
+    weight locks the P1 velocity toward the elementwise divergence-free
+    subspace, which on structured triangulations approximates nothing.
+    """
     if mu <= 0.0 or c1 <= 0.0 or c2 <= 0.0 or dt_eff <= 0.0:
         raise ValueError("mu, c1, c2 and dt_eff must all be positive")
     tau1 = h ** 2 / (c1 * mu)
     tau2 = c2 * h ** 2 / tau1
     tau1p = tau1 * dt_eff / (dt_eff + tau1)
     return tau1, tau2, tau1p
-
-
-def compute_taus(geometry, mu, c1, c2, dt_eff):
-    """Stabilization parameters of one element.
-
-    tau1 = h_k^2/(c1*mu), tau2 = c2*h_k^2/tau1 (= c1*c2*mu, mesh
-    independent) and the time-regularized
-    tau1p = tau1*dt_eff/(dt_eff + tau1).
-
-    The h_k^2 factor in tau2 keeps the grad-div weight bounded as the mesh
-    is refined; an unbounded weight forces the piecewise-linear velocity
-    toward the elementwise divergence-free subspace, which on structured
-    triangulations is too poor to approximate anything (locking).
-    """
-    return _taus(geometry.diameter, mu, c1, c2, dt_eff)
 
 
 @dataclass
@@ -182,13 +175,6 @@ class SubscaleState:
     def zeros(cls, mesh, rule=None):
         nq = len((rule or quadrature_rule(ASSEMBLY_QUAD_DEGREE)).weights)
         return cls(np.zeros((mesh.n_triangles, nq, 2)))
-
-
-@dataclass
-class AssembledSystem:
-    matrix: linalg.SparseMatrix
-    rhs: np.ndarray
-    dofmap: object
 
 
 class StepFailureError(Exception):
@@ -361,7 +347,6 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     ``forcing`` is forcing(x, y, t) or a ``LevelForcing`` of it.
     """
     tri = mesh.triangles
-    n_u = dofmap.n_u
     a, g = mesh.areas, mesh.shape_gradients
     alpha, dt, dt_eff = scheme.alpha, scheme.dt, scheme.dt_eff
 
@@ -382,33 +367,23 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     div_un = grad_u[:, 0, 0] + grad_u[:, 1, 1]
     ubar = u_loc.mean(axis=1)  # element means of u_old
 
-    rhs = np.zeros(dofmap.n_dofs)
+    def scatter(local):  # sum the (m, 3) element vectors onto the vertices
+        return np.bincount(tri.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
+
+    parts = []
     cont = -((1 - alpha) * a / 3.0 * div_un)[:, None] * np.ones(3)
     for c in range(2):
         load_c = load[:, :, c]
-        mom = ((w_w / dt)[:, None] * mass_u[:, :, c]
-               - (params.mu * (1 - alpha)) * stiff_u[:, :, c]
-               - ((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
-               + (w_w * a)[:, None] * ((wq * load_c) @ rule.points))
-        np.add.at(rhs, c * n_u + tri, mom)
+        parts.append(scatter((w_w / dt)[:, None] * mass_u[:, :, c]
+                             - (params.mu * (1 - alpha)) * stiff_u[:, :, c]
+                             - ((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
+                             + (w_w * a)[:, None] * ((wq * load_c) @ rule.points)))
         # continuity rows: tau1p (u_old/dt + f + d, grad q)
         cont += ((t1p * a)[:, None] * g[:, :, c]
                  * (ubar[:, c] / dt + load_c @ wq)[:, None])
-    np.add.at(rhs, 2 * n_u + tri, cont)
-
+    rhs = np.concatenate(parts + [scatter(cont), [0.0]])  # multiplier row 0
     rhs[dofmap.dirichlet_dofs] = 0.0
-    rhs[dofmap.multiplier_index] = 0.0
     return rhs
-
-
-def assemble_system(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
-    """Full constrained linear system for one step from ``state_n``."""
-    n = mesh.n_vertices
-    if state_n.u1.shape != (n,) or state_n.u2.shape != (n,) or state_n.p.shape != (n,):
-        raise ValueError("state dimensions do not match the mesh")
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing)
-    return AssembledSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
 
 def _momentum_residual(mesh, rule, state_old, state_new, dt, alpha, at):
@@ -554,60 +529,84 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     return history
 
 
-def _constraint_basis(dofmap):
-    """Orthonormal basis of the admissible raw directions.
+# Largest total size of the dense arrays one diagnostic may hold at once.
+DENSE_BUDGET_BYTES = 2 ** 30
 
-    Velocity dofs outside the Dirichlet set keep their unit vectors; the
-    pressure block contributes an orthonormal basis of the zero-mean
-    subspace.  The multiplier is not part of the raw operator.
-    """
-    n_u, n_p = dofmap.n_u, dofmap.n_p
-    n_raw = 2 * n_u + n_p
-    free_vel = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
-    null_p = scipy.linalg.null_space(dofmap.mean_vector[None, :])
-    Z = np.zeros((n_raw, free_vel.size + null_p.shape[1]))
-    Z[free_vel, np.arange(free_vel.size)] = 1.0
-    Z[2 * n_u:, free_vel.size:] = null_p
-    return Z
+
+def _check_dense_budget(name, n_doubles):
+    if 8 * n_doubles > DENSE_BUDGET_BYTES:
+        raise ValueError(f"{name} needs {8 * n_doubles} bytes of dense arrays, "
+                         f"above the budget of {DENSE_BUDGET_BYTES} bytes")
+
+
+def _mean_reflector(mean):
+    """Unit v: H = I - 2 v v^T maps the positive ``mean`` onto a multiple
+    of e_0, so H[:, 1:] is an orthonormal basis of the zero-mean subspace."""
+    v = np.array(mean, dtype=float)
+    v[0] += np.linalg.norm(v)  # no cancellation: every entry is positive
+    return v / np.linalg.norm(v)
+
+
+def _project(S, v, k):
+    """Z^T S Z for symmetric S and Z = diag(I_k, H[:, 1:]), in O(n^2).
+
+    With v padded by k zeros, S is overwritten by H S H = S - v u^T - u v^T
+    for u = 2 (S v - (v^T S v) v), and row and column k are dropped."""
+    u = 2.0 * (S[:, k:] @ v)
+    u[k:] -= (v @ u[k:]) * v
+    S[:, k:] -= np.outer(u, v)
+    S[k:, :] -= np.outer(v, u)
+    keep = np.delete(np.arange(S.shape[0]), k)
+    return S[np.ix_(keep, keep)]
 
 
 def coercivity_operator(mesh, dofmap, params, dt):
     """Projected symmetric part of the one-step backward-Euler operator.
 
-    Returns (S, Z) where S = Z^T (A + A^T)/2 Z for the raw (unconstrained)
-    operator A, and Z spans the Dirichlet-free, zero-mean directions.
+    Returns S = Z^T (A + A^T)/2 Z for the raw (unconstrained) operator A,
+    where Z spans the Dirichlet-free, zero-mean directions (``_project``);
+    only A's free velocity and pressure rows and columns are densified.
+    ``dt`` must equal ``params.dt_eff``.  Raises ValueError, before
+    assembling, when the dense arrays would exceed ``DENSE_BUDGET_BYTES``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if abs(dt - params.dt_eff) > 1e-12 * dt:
+        raise ValueError(f"dt {dt} differs from params.dt_eff {params.dt_eff}")
+    free = np.setdiff1d(np.arange(2 * dofmap.n_u + dofmap.n_p), dofmap.dirichlet_dofs)
+    _check_dense_budget("coercivity_operator", 2 * free.size ** 2)  # S and Z^T S Z
     scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
-    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).to_dense()
-    sym = 0.5 * (A + A.T)
-    Z = _constraint_basis(dofmap)
-    return Z.T @ sym @ Z, Z
+    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).csr[free][:, free]
+    S = (0.5 * (A + A.T)).toarray()
+    return _project(S, _mean_reflector(dofmap.mean_vector), free.size - dofmap.n_p)
 
 
 def coercivity_check(mesh, dofmap, params, dt):
     """Smallest Rayleigh quotient of the symmetrized stabilized operator."""
-    S, _ = coercivity_operator(mesh, dofmap, params, dt)
-    return float(scipy.linalg.eigvalsh(S).min())
+    return float(scipy.linalg.eigvalsh(coercivity_operator(mesh, dofmap, params, dt)).min())
 
 
 def infsup_constant(mesh, dofmap, stabilized, params):
     """Discrete inf-sup constant via the pressure Schur complement.
 
     beta_h is the square root of the smallest nonzero eigenvalue of
-    B A^{-1} B^T (plus the pressure-Laplacian block when ``stabilized``)
+    S = B A^{-1} B^T (plus the pressure-Laplacian block when ``stabilized``)
     generalized against the pressure mass matrix, with A the velocity H1
     operator (plus grad-div when ``stabilized``) on the Dirichlet-free
-    velocity subspace and pressures restricted to zero mean.  Diagnostic
+    velocity subspace and pressures restricted to zero mean (``_project``).
+    S = W^T W for W = L^{-1} B^T with the Cholesky factor L of A, so a
+    non-SPD A raises LinAlgError.  Raises ValueError, before assembling,
+    when the dense arrays would exceed ``DENSE_BUDGET_BYTES``.  Diagnostic
     only; near-zero modes of the unstabilized pair are filtered, not judged.
     """
-    tri = mesh.triangles
     n_u, n_p = dofmap.n_u, dofmap.n_p
+    free = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
+    # at most L, W and four n_p x n_p arrays
+    _check_dense_budget("infsup_constant", free.size * (free.size + n_p) + 4 * n_p ** 2)
     a, g, mass, stiff, div = _element_tables(mesh)
 
     def assemble(n_rows, n_cols, blocks):
-        return linalg.from_triplets(n_rows, n_cols, _scatter(tri, blocks)).csr
+        return linalg.from_triplets(n_rows, n_cols, _scatter(mesh.triangles, blocks)).csr
 
     blocks = [(c * n_u, c * n_u, stiff + mass) for c in range(2)]
     if stabilized:
@@ -617,17 +616,18 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     B = assemble(n_p, 2 * n_u, [(0, c * n_u, div[:, c]) for c in range(2)])
     Mp = assemble(n_p, n_p, [(0, 0, mass)])
 
-    free = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
-    A_ff = A[free][:, free].toarray()
-    B_f = B[:, free].toarray()
-    S = B_f @ np.linalg.solve(A_ff, B_f.T)
+    L = scipy.linalg.cholesky(A[free][:, free].toarray(order="F"), lower=True,
+                              overwrite_a=True)
+    W = scipy.linalg.solve_triangular(L, B[:, free].toarray().T, lower=True,
+                                      overwrite_b=True)
+    S = W.T @ W
+    del L, W
     if stabilized:
         S += assemble(n_p, n_p, [(0, 0, params.tau1p_eff[:, None, None] * stiff)]).toarray()
 
-    Zp = scipy.linalg.null_space(dofmap.mean_vector[None, :])
-    Sz = Zp.T @ S @ Zp
-    Mz = Zp.T @ (Mp @ Zp)
-    eigs = scipy.linalg.eigh(Sz, Mz, eigvals_only=True)
+    v = _mean_reflector(dofmap.mean_vector)
+    S = _project(S, v, 0)
+    eigs = scipy.linalg.eigh(S, _project(Mp.toarray(), v, 0), eigvals_only=True)
     cutoff = 1e-10 * max(eigs.max(), 1e-300)
     nonzero = eigs[eigs > cutoff]
     if nonzero.size == 0:

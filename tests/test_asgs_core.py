@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
                          element_geometry)
+from stokes_asgs import asgs_core, linalg
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    ReducedFactor, StepFailureError,
                                    SubscaleState, TimeScheme, _element_tables,
-                                   assemble_lhs, assemble_rhs, assemble_system,
+                                   _mean_reflector, _project, _taus,
+                                   assemble_lhs, assemble_rhs,
                                    coercivity_check, coercivity_operator,
-                                   compute_taus, infsup_constant,
-                                   solve_transient, step, update_subscales)
+                                   infsup_constant, solve_transient, step,
+                                   update_subscales)
 from stokes_asgs.fem_space import quadrature_rule
 from stokes_asgs.manufactured import exact_velocity, forcing
 
@@ -39,23 +41,17 @@ def _random_state(mesh, seed=0, t=0.3):
 
 # ---------------------------------------------------------------- taus
 
-def test_compute_taus_values():
-    geo = element_geometry(build_unit_square_mesh(10), 0)
-    # nx=10 mesh diameter is sqrt(2)/10; use a synthetic geometry with
-    # diameter exactly 0.1 for the hand-computed values
-    from stokes_asgs.mesh import ElementGeometry
-    synthetic = ElementGeometry(area=geo.area, vertex_coords=geo.vertex_coords,
-                                shape_gradients=geo.shape_gradients, diameter=0.1)
-    tau1, tau2, tau1p = compute_taus(synthetic, MU, C1, C2, dt_eff=0.1)
+def test_taus_values():
+    # diameter h = 0.1 for the hand-computed values
+    tau1, tau2, tau1p = _taus(0.1, MU, C1, C2, dt_eff=0.1)
     assert tau1 == pytest.approx(0.1 ** 2 / (C1 * MU), abs=1e-16)  # 0.025
-    # grad-div weight carries the extra h^2 (bounded in h); see compute_taus
+    # grad-div weight carries the extra h^2 (bounded in h); see _taus
     assert tau2 == pytest.approx(C2 * 0.1 ** 2 / 0.025, abs=1e-15)  # 0.8
     assert tau1p == pytest.approx(0.025 * 0.1 / (0.1 + 0.025), abs=1e-16)
 
 
 def test_tau1p_large_dt_limit():
-    geo = element_geometry(build_unit_square_mesh(10), 0)
-    tau1, _, tau1p = compute_taus(geo, MU, C1, C2, dt_eff=1e12)
+    tau1, _, tau1p = _taus(0.1, MU, C1, C2, dt_eff=1e12)
     assert tau1p == pytest.approx(tau1, rel=1e-10)
 
 
@@ -69,13 +65,12 @@ def test_tau_invariants():
     assert np.allclose(params.m_weights + params.w_weights, 1.0)
 
 
-def test_compute_taus_rejects_nonpositive():
-    geo = element_geometry(build_unit_square_mesh(2), 0)
+def test_taus_rejects_nonpositive():
     for bad in [dict(mu=0.0), dict(c1=-1.0), dict(c2=0.0), dict(dt_eff=0.0)]:
         kw = dict(mu=MU, c1=C1, c2=C2, dt_eff=0.1)
         kw.update(bad)
         with pytest.raises(ValueError):
-            compute_taus(geo, **kw)
+            _taus(0.1, **kw)
 
 
 def test_time_scheme_validation():
@@ -132,10 +127,11 @@ def test_assembly_matches_dense_oracle(theta):
     state = _random_state(mesh, seed=7)
     rng = np.random.default_rng(8)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
-    system = assemble_system(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
-    assert np.abs(system.matrix.to_dense() - A_ref).max() < 1e-12
-    assert np.abs(system.rhs - b_ref).max() < 1e-12
+    assert np.abs(matrix.to_dense() - A_ref).max() < 1e-12
+    assert np.abs(rhs - b_ref).max() < 1e-12
 
 
 def test_galerkin_switch_matches_oracle():
@@ -146,10 +142,11 @@ def test_galerkin_switch_matches_oracle():
                                           stabilized=False)
     state = _random_state(mesh, seed=3)
     sub = SubscaleState.zeros(mesh)
-    system = assemble_system(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
-    assert np.abs(system.matrix.to_dense() - A_ref).max() < 1e-12
-    assert np.abs(system.rhs - b_ref).max() < 1e-12
+    assert np.abs(matrix.to_dense() - A_ref).max() < 1e-12
+    assert np.abs(rhs - b_ref).max() < 1e-12
 
 
 def test_stabilization_vanishes_for_huge_c1():
@@ -499,7 +496,7 @@ def test_coercivity_rayleigh_quotients_bound_eigenvalue():
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
-    S, _ = coercivity_operator(mesh, dofmap, params, dt=0.1)
+    S = coercivity_operator(mesh, dofmap, params, dt=0.1)
     lam = coercivity_check(mesh, dofmap, params, dt=0.1)
     rng = np.random.default_rng(13)
     quotients = []
@@ -518,7 +515,7 @@ def test_coercivity_homogeneity():
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
-    S, _ = coercivity_operator(mesh, dofmap, params, dt=0.1)
+    S = coercivity_operator(mesh, dofmap, params, dt=0.1)
     import scipy.linalg
     lam = scipy.linalg.eigvalsh(S).min()
     lam2 = scipy.linalg.eigvalsh(2.0 * S).min()
@@ -531,6 +528,95 @@ def test_coercivity_rejects_bad_dt():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
     with pytest.raises(ValueError):
         coercivity_check(mesh, dofmap, params, dt=0.0)
+
+
+def test_coercivity_rejects_mismatched_dt():
+    # the scheme is built from dt, the stabilization weights from dt_eff
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
+    with pytest.raises(ValueError, match="dt_eff"):
+        coercivity_operator(mesh, dofmap, params, dt=0.2)
+    coercivity_operator(mesh, dofmap, params, dt=0.1 * (1 + 1e-14))
+
+
+def test_dense_diagnostics_refuse_large_meshes(monkeypatch):
+    # at nx=100 the coercivity block alone is 29803^2 doubles (7.1 GB); the
+    # guard must refuse before anything is assembled
+    mesh = build_unit_square_mesh(100)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the size guard")
+
+    monkeypatch.setattr(asgs_core, "assemble_lhs", refuse)
+    monkeypatch.setattr(linalg, "from_triplets", refuse)
+    budget = str(asgs_core.DENSE_BUDGET_BYTES)
+    n_free, n_p = 2 * 99 ** 2, 101 ** 2
+    with pytest.raises(ValueError) as info:
+        coercivity_check(mesh, dofmap, params, dt=0.1)
+    assert budget in str(info.value)
+    assert str(16 * (n_free + n_p) ** 2) in str(info.value)
+    with pytest.raises(ValueError) as info:
+        infsup_constant(mesh, dofmap, True, params)
+    assert budget in str(info.value)
+    assert str(8 * (n_free * (n_free + n_p) + 4 * n_p ** 2)) in str(info.value)
+
+
+def _coercivity_null_space_reference(mesh, dofmap, params, dt):
+    """Reference S: the whole raw operator densified and projected on an
+    SVD basis of the admissible directions."""
+    import scipy.linalg
+    n_u, n_p = dofmap.n_u, dofmap.n_p
+    scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
+    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).to_dense()
+    free_vel = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
+    null_p = scipy.linalg.null_space(dofmap.mean_vector[None, :])
+    Z = np.zeros((2 * n_u + n_p, free_vel.size + null_p.shape[1]))
+    Z[free_vel, np.arange(free_vel.size)] = 1.0
+    Z[2 * n_u:, free_vel.size:] = null_p
+    return Z.T @ (0.5 * (A + A.T)) @ Z
+
+
+@pytest.mark.parametrize("nx", [3, 6])
+@pytest.mark.parametrize("stabilized, dt", [(True, 0.1), (False, 10.0)])
+def test_coercivity_matches_null_space_reference(nx, stabilized, dt):
+    import scipy.linalg
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=dt,
+                                          stabilized=stabilized)
+    got = scipy.linalg.eigvalsh(coercivity_operator(mesh, dofmap, params, dt))
+    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params, dt))
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert coercivity_check(mesh, dofmap, params, dt) == pytest.approx(
+        ref.min(), abs=1e-10 * np.abs(ref).max())
+
+
+_mean_vectors = st.one_of(
+    st.integers(2, 8).map(
+        lambda nx: build_dofmap(build_unit_square_mesh(nx)).mean_vector),
+    st.lists(st.floats(1e-8, 1e8), min_size=2, max_size=80).map(np.array))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mean=_mean_vectors)
+def test_mean_reflector_spans_zero_mean_subspace(mean):
+    n = mean.size
+    v = _mean_reflector(mean)
+    assert np.abs(_project(np.eye(n), v, 0) - np.eye(n - 1)).max() <= 1e-14
+    H = np.eye(n) - 2.0 * np.outer(v, v)
+    assert np.abs(mean @ H[:, 1:]).max() <= 1e-14 * np.linalg.norm(mean)
+
+
+def test_infsup_rejects_indefinite_velocity_block():
+    mesh = build_unit_square_mesh(3)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
+    params.tau2 = -1e6 * np.ones_like(params.tau2)  # grad-div of the wrong sign
+    with pytest.raises(np.linalg.LinAlgError):
+        infsup_constant(mesh, dofmap, True, params)
 
 
 def test_infsup_unstabilized_small_mesh():

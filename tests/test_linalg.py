@@ -3,25 +3,9 @@ import pytest
 
 from stokes_asgs import (SingularMatrixError, build_dofmap,
                          build_unit_square_mesh, from_triplets)
-from stokes_asgs.asgs_core import (FieldState, ReducedFactor,
-                                   StabilizationParams, SubscaleState,
-                                   TimeScheme, assemble_system)
+from stokes_asgs.asgs_core import (ReducedFactor, StabilizationParams,
+                                   TimeScheme, assemble_lhs)
 from stokes_asgs.linalg import DIRECT_RESIDUAL_TOL, DirectFactor
-from stokes_asgs.manufactured import forcing
-
-
-def _assembled(nx, dt=0.1, theta=1):
-    mesh = build_unit_square_mesh(nx)
-    dofmap = build_dofmap(mesh)
-    scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
-    params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
-    n = mesh.n_vertices
-    rng = np.random.default_rng(nx)
-    state = FieldState(rng.standard_normal(n), rng.standard_normal(n),
-                       rng.standard_normal(n), 0.0)
-    sub = SubscaleState.zeros(mesh)
-    fn = lambda x, y, t: forcing(x, y, t, 0.1)
-    return assemble_system(mesh, dofmap, state, sub, scheme, params, fn), dofmap
 
 
 def test_duplicate_triplets_summed():
@@ -78,13 +62,17 @@ def test_direct_two_by_two():
 
 
 def test_direct_on_assembled_system():
-    system, dofmap = _assembled(4)
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
+    matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(dofmap.n_dofs)
     b[dofmap.dirichlet_dofs] = 0.0
     b[dofmap.multiplier_index] = 0.0
-    x = ReducedFactor(system.matrix, dofmap).solve(b)
-    res = np.linalg.norm(system.matrix.csr @ x - b) / np.linalg.norm(b)
+    x = ReducedFactor(matrix, dofmap).solve(b)
+    res = np.linalg.norm(matrix.csr @ x - b) / np.linalg.norm(b)
     assert res <= DIRECT_RESIDUAL_TOL
 
 
