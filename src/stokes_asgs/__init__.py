@@ -5,13 +5,13 @@ from .asgs_core import (FieldState, StabilizationParams, StepFailureError,
                         infsup_constant, solve_transient, step,
                         update_subscales)
 from .fem_space import (DofMap, QuadratureRule, build_dofmap, interpolate,
-                        p1_eval, quadrature_rule)
+                        quadrature_rule)
 from .linalg import SingularMatrixError, SparseMatrix, from_triplets
 from .manufactured import (ErrorAccumulator, LevelResult, RateTable,
-                           accumulate_errors, exact_pressure, exact_velocity,
-                           exact_velocity_gradient, forcing, rate_table,
-                           residual_indicator, run_convergence_study,
-                           run_verification_solve)
-from .mesh import ElementGeometry, Mesh, build_unit_square_mesh, element_geometry
+                           exact_pressure, exact_velocity,
+                           exact_velocity_gradient, forcing, forcing_moments,
+                           rate_table, residual_indicator,
+                           run_convergence_study, run_verification_solve)
+from .mesh import Mesh, build_unit_square_mesh
 
 __version__ = "0.1.0"

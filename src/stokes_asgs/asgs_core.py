@@ -504,15 +504,17 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     is evaluated once per time level.
     """
     forcing = LevelForcing(forcing, mesh)
+    subscale = SubscaleState.zeros(mesh)
+    state = initial
+    if observer is not None:
+        # before the factor exists, so that the observer's set-up
+        # temporaries never add to the resident LU factor
+        observer(0, state, subscale)
     try:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
     except linalg.SingularMatrixError as exc:
         # factorization is part of taking the first step
         raise StepFailureError(1, str(exc)) from exc
-    subscale = SubscaleState.zeros(mesh)
-    state = initial
-    if observer is not None:
-        observer(0, state, subscale)
     history = [state]
     for n in range(1, scheme.n_steps + 1):
         try:

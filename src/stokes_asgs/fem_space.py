@@ -107,11 +107,6 @@ def quadrature_rule(degree):
     return _RULES[degree]
 
 
-def p1_eval(bary):
-    """P1 basis values at a barycentric point: the coordinates themselves."""
-    return np.asarray(bary, dtype=float)
-
-
 @dataclass(frozen=True)
 class DofMap:
     """Blocked global dof layout for the equal-order P1/P1 pair.

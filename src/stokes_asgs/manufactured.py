@@ -12,9 +12,23 @@ du/dt - mu*lap(u) + grad(p) = f.
 
 Space-time error norms are the discrete ones driven by the theta-scheme:
 interval contributions are dt times the squared norm of the theta-combined
-snapshot error (each level's snapshot is computed once along a solve), the
-velocity norm adds a max-in-time L2 part, and pressure is sampled at the
-interval level where the solver produces it.
+error, the velocity norm adds a max-in-time L2 part, and pressure is sampled
+at the interval level where the solver produces it.
+
+Every exact field and the forcing is separable, exp(-t) times a spatial
+factor f0, so each squared norm is that of v_h - c*f0 for a P1 field v_h
+with nodal values v and a weight c (exp(-t), or the theta-combination of two
+such weights).  With the nodal error e = v - c*f0(x_i) and the interpolation
+error rho0 = I_h f0 - f0 it expands exactly into a quadratic form,
+
+    ||v_h - c f0||^2 = e^T M e + 2c e.b + c^2 C,   b_i = (rho0, l_i),
+                                                   C = ||rho0||^2,
+
+with the P1 mass matrix M; the H1 seminorm uses the stiffness matrix K with
+b_i = (grad rho0, grad l_i) and C = ||grad rho0||^2.  The observer integrates
+b and C, and the forcing factor's element moments, once per mesh at the
+degree-8 error points; a time level then costs a few sparse products on
+nodal vectors.
 """
 
 import math
@@ -23,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asgs_core
-from .asgs_core import (FieldState, StabilizationParams, SubscaleState,
-                        TimeScheme, count_steps)
+from . import asgs_core, linalg
+from .asgs_core import (FieldState, StabilizationParams, TimeScheme,
+                        count_steps)
 from .fem_space import build_dofmap, interpolate, quadrature_rule
 from .mesh import build_unit_square_mesh
 
@@ -129,79 +143,12 @@ class ErrorAccumulator:
 DEFAULT_EXACT = (exact_velocity, exact_velocity_gradient, exact_pressure)
 
 
-def _field_at_quadrature(mesh, rule, u1, u2):
-    """Values and (constant) gradients of a P1 velocity on all elements.
-
-    Returns vals of shape (m, nq, 2) and grads of shape (m, 2, 2) with
-    grads[k, d, e] = du_d/dx_e on element k.
-    """
-    tri = mesh.triangles
-    u_loc = np.stack([u1[tri], u2[tri]], axis=-1)            # (m, 3, 2)
-    vals = rule.points @ u_loc
-    grads = np.matmul(u_loc.transpose(0, 2, 1), mesh.shape_gradients)
-    return vals, grads
-
-
-def _l2sq(mesh, field_sq):
-    """Integral over the domain of a pointwise field given at the error points."""
-    wq = quadrature_rule(ERROR_QUAD_DEGREE).weights
-    return float((field_sq @ wq) @ mesh.areas)
-
-
 def _theta_divergence(mesh, state_n, state_np1, alpha):
     """Elementwise divergence of alpha*u^{n+1} + (1-alpha)*u^n."""
-    tri = mesh.triangles
-    g = mesh.shape_gradients
-    um1 = alpha * state_np1.u1 + (1 - alpha) * state_n.u1
-    um2 = alpha * state_np1.u2 + (1 - alpha) * state_n.u2
-    return (g[:, :, 0] * um1[tri]).sum(axis=1) + (g[:, :, 1] * um2[tri]).sum(axis=1)
-
-
-# velocity error of one level at the error points: six (m, nq) arrays e1, e2,
-# de1/dx, de1/dy, de2/dx, de2/dy, and the squared L2 norm of (e1, e2)
-_Snapshot = namedtuple("_Snapshot", "state errors l2_sq")
-
-
-def _snapshot(state, mesh, exact):
-    exact_u, exact_gu, _ = exact
-    rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    pts = mesh.quad_points(rule)
-    x, y = pts[..., 0], pts[..., 1]
-    vals, grads = _field_at_quadrature(mesh, rule, state.u1, state.u2)
-    errors = [vals[..., d] - ex for d, ex in enumerate(exact_u(x, y, state.t))]
-    errors += [grads[:, None, d, e] - ex for (d, e), ex in
-               zip(((0, 0), (0, 1), (1, 0), (1, 1)), exact_gu(x, y, state.t))]
-    return _Snapshot(state, errors, _l2sq(mesh, errors[0] ** 2 + errors[1] ** 2))
-
-
-def _interval_contributions(snap_n, snap_np1, mesh, theta, dt, exact):
-    """Squared-norm pieces for one interval [t_n, t_{n+1}] from its snapshots;
-    ``snap_n.errors`` is read only under Crank-Nicolson, which weights t_n."""
-    alpha = 0.5 * (1 + theta)
-
-    def mid(i):
-        e = snap_np1.errors[i]
-        return e if alpha == 1 else alpha * e + (1 - alpha) * snap_n.errors[i]
-
-    mid_l2 = _l2sq(mesh, mid(0) ** 2 + mid(1) ** 2)
-    grad_sq = sum(mid(i) ** 2 for i in range(2, 6))
-    mid_h1 = mid_l2 + _l2sq(mesh, grad_sq)
-
-    # pressure error at the interval level t^{n,theta}
-    rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    pts = mesh.quad_points(rule)
-    p_vals = snap_np1.state.p[mesh.triangles] @ rule.points.T
-    p_exact = exact[2](pts[..., 0], pts[..., 1], snap_n.state.t + alpha * dt)
-    p_l2 = _l2sq(mesh, (p_vals - p_exact) ** 2)
-
-    div_mid = _theta_divergence(mesh, snap_n.state, snap_np1.state, alpha)
-    div_l2 = float(np.sum(mesh.areas * div_mid ** 2))
-
-    return {
-        "snap_n": snap_n.l2_sq, "snap_p": snap_np1.l2_sq,
-        "mid_l2": mid_l2, "mid_h1": mid_h1,
-        "p_l2": p_l2, "div_l2": div_l2,
-    }
+    um = np.stack([alpha * state_np1.u1 + (1 - alpha) * state_n.u1,
+                   alpha * state_np1.u2 + (1 - alpha) * state_n.u2], axis=-1)
+    return np.einsum("kic,kic->k", mesh.shape_gradients,
+                     np.take(um, mesh.triangles, axis=0))
 
 
 def _fold(acc, parts, dt):
@@ -212,37 +159,52 @@ def _fold(acc, parts, dt):
     acc.div_l2l2_sq += dt * parts["div_l2"]
 
 
-def accumulate_errors(acc, state_n, state_np1, mesh, theta, dt, exact=None):
-    """Fold one interval's error contributions into ``acc``.
-
-    The interval integral of an (n, theta)-combined quantity is constant in
-    time, so each contribution is dt times a squared spatial norm; the max
-    part of the velocity norm is updated with both snapshot errors, which
-    covers t^0 on the first call.
-    """
-    exact = exact or DEFAULT_EXACT
-    parts = _interval_contributions(_snapshot(state_n, mesh, exact),
-                                    _snapshot(state_np1, mesh, exact),
-                                    mesh, theta, dt, exact)
-    _fold(acc, parts, dt)
-    return acc
+ForcingMoments = namedtuple("ForcingMoments", "lam sq")
+ForcingMoments.__doc__ = """Element moments of a forcing f at the error points:
+lam[k, i] = int_k f l_i, shape (m, 3, 2), and sq[k] = int_k |f|^2, shape (m,)."""
 
 
-def residual_indicator(state_n, state_np1, mesh, dt, theta, forcing_fn):
+def _moments(mesh, f):
+    """``ForcingMoments`` of the values ``f`` (m, nq, 2) at the error points."""
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    wf = (mesh.areas[:, None] * rule.weights)[..., None] * f
+    return ForcingMoments(rule.points.T @ wf, np.einsum("kqc,kqc->k", wf, f))
+
+
+def forcing_moments(mesh, forcing_fn, t_n, dt, theta):
+    """``ForcingMoments`` of the interval forcing
+    f_mid = alpha*f(t_n + dt) + (1-alpha)*f(t_n), evaluated pointwise."""
+    pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
+    f = asgs_core._theta_forcing(lambda t: asgs_core._forcing_at(forcing_fn, pts, t),
+                                 t_n, t_n + dt, 0.5 * (1 + theta))
+    return _moments(mesh, f)
+
+
+def residual_indicator(state_n, state_np1, mesh, dt, theta, moments):
     """Residual error indicator for one interval.
 
     eta_k^2 = h_k^2 ||R1||_{0,k}^2 + ||R2||_{0,k}^2 with the subscale-free
     residuals R1 = f - (du_h/dt + grad p_h) (no Laplacian for P1) and
-    R2 = -div u_h, both at the (n, theta) level.  Returns (eta_k, eta).
+    R2 = -div u_h, both at the (n, theta) level; ``moments`` are the
+    ``ForcingMoments`` of the interval forcing f.  With du = (u^{n+1} - u^n)/dt
+    nodal and grad p_h constant, ||R1||_k^2 is in closed form
+    int|f|^2 - 2 (sum_i du_i . int f l_i + grad p . int f) + du^T M_k du
+    + 2 (a/3) grad p . sum_i du_i + a |grad p|^2; a value that rounding
+    takes below zero counts as zero.  Returns (eta_k, eta).
     """
-    a = mesh.areas
+    tri, a, lam = mesh.triangles, mesh.areas, moments.lam
+    du = np.take(np.stack([state_np1.u1 - state_n.u1,
+                           state_np1.u2 - state_n.u2], axis=-1) / dt, tri, axis=0)
+    gradp = np.einsum("ki,kid->kd", np.take(state_np1.p, tri), mesh.shape_gradients)
+    du_sum = np.einsum("kic->kc", du)
+    r1_sq = (moments.sq
+             - 2.0 * (np.einsum("kic,kic->k", du, lam)
+                      + np.einsum("kc,kic->k", gradp, lam))
+             + a / 12.0 * (np.einsum("kic,kic->k", du, du)
+                           + np.einsum("kc,kc->k", du_sum, du_sum))
+             + a * np.einsum("kc,kc->k", gradp, 2.0 / 3.0 * du_sum + gradp))
+    r1_sq = np.maximum(r1_sq, 0.0)
     alpha = 0.5 * (1 + theta)
-    rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    pts = mesh.quad_points(rule)
-    r1 = asgs_core._momentum_residual(
-        mesh, rule, state_n, state_np1, dt, alpha,
-        lambda t: asgs_core._forcing_at(forcing_fn, pts, t))
-    r1_sq = a * ((r1[..., 0] ** 2 + r1[..., 1] ** 2) @ rule.weights)
     r2_sq = a * _theta_divergence(mesh, state_n, state_np1, alpha) ** 2
 
     eta_k_sq = mesh.diameters ** 2 * r1_sq + r2_sq
@@ -316,56 +278,130 @@ class LevelResult:
     steps: list = field(default_factory=list, repr=False)
 
 
-def _separable(fn, pts):
-    """``fn(x, y, t)`` at ``pts`` for a field that is exp(-t) times a spatial
-    factor.  The factor, ``fn`` at t = 0, is evaluated once; the returned
-    function scales it by exp(-t) and ignores the points it is given."""
-    factor = np.asarray(fn(pts[..., 0], pts[..., 1], 0.0))
-    return lambda x, y, t: math.exp(-t) * factor
+class _SquareForm:
+    """||v_h - c*f0||^2 of a P1 field with nodal values v, shape (n, d), as
+    e^T A e + 2c e.b + c^2 C in the nodal error e = v - c*f0(x_i)."""
+
+    def __init__(self, matrix, nodal, b, C):
+        self.matrix, self.nodal, self.b, self.C = matrix, nodal, b, C
+
+    def error(self, v, c):
+        return v - c * self.nodal
+
+    def square(self, e, c):
+        value = (float(np.vdot(e, self.matrix @ e))
+                 + 2.0 * c * float(np.vdot(e, self.b)) + c * c * self.C)
+        return max(value, 0.0)  # rounding below zero is zero
+
+
+_Forms = namedtuple("_Forms", "velocity gradient pressure forcing")
+
+
+def _error_forms(mesh, exact, forcing_fn):
+    """Per-mesh forms of the velocity L2 and H1-seminorm errors and the
+    pressure L2 error, and the forcing factor's ``ForcingMoments``, from the
+    t = 0 factors of the separable ``exact`` fields and ``forcing_fn``."""
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    tri, n = mesh.triangles, mesh.n_vertices
+    _, g, mass, stiff, _ = asgs_core._element_tables(mesh)
+    wa = (mesh.areas[:, None] * rule.weights)[..., None]  # (m, nq, 1)
+
+    def matrix(local):
+        return linalg.from_triplets(n, n, asgs_core._scatter(tri, [(0, 0, local)])).csr
+
+    def scatter(local):  # sum the (m, 3, d) element vectors onto the vertices
+        return np.stack([np.bincount(tri.ravel(), weights=local[..., c].ravel(), minlength=n)
+                         for c in range(local.shape[-1])], axis=-1)
+
+    def factor(fn, where):  # fn(x, y, 0) at ``where`` (..., 2), stacked to (..., d)
+        return asgs_core._forcing_at(fn, where, 0.0)
+
+    exact_u, exact_gu, exact_p = exact
+    M = matrix(mass)
+    l2 = []
+    for fn in (exact_u, lambda x, y, t: (exact_p(x, y, t),)):
+        nodal = factor(fn, mesh.vertices)
+        rho = rule.points @ nodal[tri] - factor(fn, pts)  # rho0, (m, nq, d)
+        w_rho = wa * rho
+        l2.append(_SquareForm(M, nodal, scatter(rule.points.T @ w_rho),
+                              float(np.einsum("kqd,kqd->", w_rho, rho))))
+    nodal = l2[0].nodal
+    # grad rho0[k, q, d, e] = d(rho0_d)/dx_e: constant grad I_h f0 minus grad f0
+    grad_rho = (np.matmul(nodal[tri].transpose(0, 2, 1), g)[:, None]
+                - factor(exact_gu, pts).reshape(pts.shape[:2] + (2, 2)))
+    grad_int = np.einsum("kq,kqde->kde", wa[..., 0], grad_rho)  # (m, d, e)
+    gradient = _SquareForm(matrix(stiff), nodal,
+                           scatter(g @ grad_int.transpose(0, 2, 1)),
+                           float(np.einsum("kq,kqde,kqde->", wa[..., 0], grad_rho, grad_rho)))
+    return _Forms(l2[0], gradient, l2[1], _moments(mesh, factor(forcing_fn, pts)))
+
+
+# one time level: its state, exp(-t), nodal velocity error and squared L2 error
+_Level = namedtuple("_Level", "state c error l2_sq")
 
 
 class _VerificationObserver:
     """Accumulates error norms and the indicator along the time loop.
 
-    Each level's snapshot error is computed once; its per-point errors are
-    kept for the next interval only under Crank-Nicolson, which weights t_n.
-    The exact fields and the forcing are exp(-t) times a spatial factor, so
-    their factors at the error points are evaluated once per mesh.
+    Every norm is a ``_SquareForm`` of nodal errors (see the module
+    docstring); the forms are built on the n = 0 call, inside the time loop,
+    and no array at the error points is made after that.  A level keeps its
+    nodal velocity error, which Crank-Nicolson weights at t_n: the interval
+    error is that of alpha*e^{n+1} + (1-alpha)*e^n with the weight
+    alpha*c^{n+1} + (1-alpha)*c^n, the same combination that scales the
+    forcing moments for the indicator.  Pressure is weighted by
+    exp(-(t_n + alpha*dt)).
     """
 
     def __init__(self, mesh, scheme, forcing_fn, exact, collect_steps=False):
         self.mesh = mesh
         self.scheme = scheme
-        pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
-        self.forcing_fn = _separable(forcing_fn, pts)
-        self.exact = tuple(_separable(fn, pts) for fn in exact)
+        self.forcing_fn = forcing_fn
+        self.exact = exact
+        self.forms = None
         self.acc = ErrorAccumulator()
         self.collect_steps = collect_steps
         self.steps = []
         self._prev = None
 
     def __call__(self, n, state, subscale):
-        dt, theta, prev = self.scheme.dt, self.scheme.theta, self._prev
-        if prev is not None:
-            # before this level's snapshot exists, so that the indicator's
-            # temporaries never meet two levels of per-point errors
-            _, eta = residual_indicator(prev.state, state, self.mesh, dt,
-                                        theta, self.forcing_fn)
-        snap = _snapshot(state, self.mesh, self.exact)
-        if prev is not None:
-            parts = _interval_contributions(prev, snap, self.mesh, theta, dt,
-                                            self.exact)
-            _fold(self.acc, parts, dt)
-            self.acc.eta_sq += dt * eta ** 2
-            if self.collect_steps:
-                self.steps.append({
-                    "step": n, "t": state.t,
-                    "err_u_l2": math.sqrt(parts["mid_l2"]),
-                    "err_u_h1": math.sqrt(parts["mid_h1"]),
-                    "err_p_l2": math.sqrt(parts["p_l2"]),
-                    "eta": eta,
-                })
-        self._prev = snap if self.scheme.alpha < 1 else snap._replace(errors=None)
+        if self.forms is None:
+            self.forms = _error_forms(self.mesh, self.exact, self.forcing_fn)
+        forms, prev = self.forms, self._prev
+        c = math.exp(-state.t)
+        e = forms.velocity.error(np.stack([state.u1, state.u2], axis=-1), c)
+        level = _Level(state, c, e, forms.velocity.square(e, c))
+        self._prev = level
+        if prev is None:
+            return
+        dt, theta, alpha = self.scheme.dt, self.scheme.theta, self.scheme.alpha
+        e_mid = alpha * e + (1 - alpha) * prev.error
+        c_mid = alpha * c + (1 - alpha) * prev.c
+        mid_l2 = forms.velocity.square(e_mid, c_mid)
+        c_p = math.exp(-(prev.state.t + alpha * dt))
+        div_mid = _theta_divergence(self.mesh, prev.state, state, alpha)
+        parts = {
+            "snap_n": prev.l2_sq, "snap_p": level.l2_sq, "mid_l2": mid_l2,
+            "mid_h1": mid_l2 + forms.gradient.square(e_mid, c_mid),
+            "p_l2": forms.pressure.square(
+                forms.pressure.error(state.p[:, None], c_p), c_p),
+            "div_l2": float(np.sum(self.mesh.areas * div_mid ** 2)),
+        }
+        moments = ForcingMoments(c_mid * forms.forcing.lam,
+                                 c_mid ** 2 * forms.forcing.sq)
+        _, eta = residual_indicator(prev.state, state, self.mesh, dt, theta,
+                                    moments)
+        _fold(self.acc, parts, dt)
+        self.acc.eta_sq += dt * eta ** 2
+        if self.collect_steps:
+            self.steps.append({
+                "step": n, "t": state.t,
+                "err_u_l2": math.sqrt(parts["mid_l2"]),
+                "err_u_h1": math.sqrt(parts["mid_h1"]),
+                "err_p_l2": math.sqrt(parts["p_l2"]),
+                "eta": eta,
+            })
 
 
 def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,

@@ -1,30 +1,6 @@
 """Structured triangulations of the unit square and per-element P1 geometry."""
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometry of one linear triangle.
-
-    Attributes
-    ----------
-    area : float
-        Triangle area (positive for counter-clockwise vertices).
-    vertex_coords : ndarray, shape (3, 2)
-        Vertex coordinates in counter-clockwise order.
-    shape_gradients : ndarray, shape (3, 2)
-        Constant gradients of the three barycentric basis functions.
-    diameter : float
-        Longest edge length.
-    """
-
-    area: float
-    vertex_coords: np.ndarray
-    shape_gradients: np.ndarray
-    diameter: float
 
 
 class Mesh:
@@ -93,38 +69,13 @@ def build_unit_square_mesh(nx):
     xv, yv = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    triangles = np.empty((2 * nx * nx, 3), dtype=np.int64)
-    k = 0
-    for j in range(nx):
-        for i in range(nx):
-            v00 = j * (nx + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (nx + 1)
-            v11 = v01 + 1
-            triangles[k] = (v00, v10, v11)
-            triangles[k + 1] = (v00, v11, v01)
-            k += 2
+    # cell (i, j) has lower-left vertex v00 = j*(nx+1) + i and is split into
+    # (v00, v10, v11) and (v00, v11, v01), cells in row-major order
+    v00 = (np.arange(nx)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     return Mesh(nx, vertices, triangles)
-
-
-def element_geometry(mesh, k):
-    """Geometry of triangle ``k`` of ``mesh``.
-
-    Raises ``IndexError`` for an out-of-range index; generated meshes never
-    contain degenerate triangles, but a zero-area triangle raises
-    ``ValueError`` as a hard error.
-    """
-    if not 0 <= k < mesh.n_triangles:
-        raise IndexError(f"triangle index {k} out of range [0, {mesh.n_triangles})")
-    area = float(mesh.areas[k])
-    if area <= 0.0:
-        raise ValueError(f"triangle {k} is degenerate (area {area})")
-    return ElementGeometry(
-        area=area,
-        vertex_coords=mesh.vertices[mesh.triangles[k]],
-        shape_gradients=mesh.shape_gradients[k],
-        diameter=float(mesh.diameters[k]),
-    )
 
 
 def _geometry_tables(vertices, triangles):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
-                         element_geometry)
+from stokes_asgs import build_dofmap, build_unit_square_mesh, interpolate
 from stokes_asgs import asgs_core, linalg
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    ReducedFactor, StepFailureError,
@@ -89,11 +88,11 @@ def test_time_scheme_validation():
 
 def test_local_mass_matrix():
     mesh = build_unit_square_mesh(3)
-    geo = element_geometry(mesh, 4)
+    area = mesh.areas[4]
     mass = _element_tables(mesh)[2][4]
-    expected = geo.area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    expected = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     assert np.abs(mass - expected).max() < 1e-16
-    assert np.allclose(mass.sum(axis=1), geo.area / 3.0)
+    assert np.allclose(mass.sum(axis=1), area / 3.0)
 
 
 def test_local_stiffness_unit_right_triangle():
@@ -107,13 +106,12 @@ def test_local_stiffness_unit_right_triangle():
 
 def test_local_div_coupling():
     mesh = build_unit_square_mesh(2)
-    geo = element_geometry(mesh, 0)
+    area, g = mesh.areas[0], mesh.shape_gradients[0]
     div = _element_tables(mesh)[4][0]
     for c in range(2):
         for i in range(3):
             for j in range(3):
-                assert div[c, i, j] == pytest.approx(
-                    geo.area / 3.0 * geo.shape_gradients[j, c], abs=1e-16)
+                assert div[c, i, j] == pytest.approx(area / 3.0 * g[j, c], abs=1e-16)
 
 
 # ------------------------------------------------------ assembly oracle
@@ -636,8 +634,7 @@ def _infsup_element_loop(mesh, dofmap, stabilized, params):
     Mp = np.zeros((n_p, n_p))
     L = np.zeros((n_p, n_p))
     for k in range(mesh.n_triangles):
-        geo = element_geometry(mesh, k)
-        a, g, idx = geo.area, geo.shape_gradients, mesh.triangles[k]
+        a, g, idx = mesh.areas[k], mesh.shape_gradients[k], mesh.triangles[k]
         mass = a / 12.0 * (np.ones((3, 3)) + np.eye(3))
         stiff = a * g @ g.T
         Mp[np.ix_(idx, idx)] += mass

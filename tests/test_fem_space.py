@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
-                         p1_eval, quadrature_rule)
+                         quadrature_rule)
 from stokes_asgs.manufactured import exact_velocity
 
 
@@ -68,18 +68,31 @@ def test_unsupported_degree():
 
 
 def test_p1_nodal_and_centroid():
-    assert np.allclose(p1_eval((1.0, 0.0, 0.0)), [1.0, 0.0, 0.0])
+    # the P1 basis values at a point are its barycentric coordinates: at
+    # the degree-5 rule's first point, the centroid, they are all one third
+    mesh = build_unit_square_mesh(1)
+    corners = mesh.vertices[mesh.triangles]  # (m, 3, 2)
     third = 1.0 / 3.0
-    assert np.allclose(p1_eval((third, third, third)), [third, third, third])
+    rule = quadrature_rule(5)
+    assert np.allclose(rule.points[0], [third, third, third])
+    assert np.allclose(mesh.quad_points(rule)[:, 0], corners.mean(axis=1))
 
 
 def test_p1_partition_of_unity_random():
+    # every rule point is a barycentric triple, and a P1 field evaluated
+    # through it reproduces a linear field at the mapped point
+    for degree in (2, 5, 8):
+        points = quadrature_rule(degree).points
+        assert np.abs(points.sum(axis=1) - 1.0).max() < 1e-14
+        assert points.min() >= 0.0
+    mesh = build_unit_square_mesh(2)
+    u = interpolate(lambda x, y: 0.4 - 1.3 * x + 2.1 * y, mesh)
     rng = np.random.default_rng(11)
     for _ in range(100):
         r = rng.dirichlet(np.ones(3))
-        vals = p1_eval(r)
-        assert abs(vals.sum() - 1.0) < 1e-14
-        assert np.allclose(vals, r)
+        assert abs(r.sum() - 1.0) < 1e-14
+        x, y = r @ mesh.vertices[mesh.triangles[3]]
+        assert abs(r @ u[mesh.triangles[3]] - (0.4 - 1.3 * x + 2.1 * y)) < 1e-14
 
 
 @pytest.mark.parametrize("nx,dim", [(1, 13), (10, 364)])

@@ -12,11 +12,12 @@ from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    solve_transient)
 from stokes_asgs.fem_space import quadrature_rule
 from stokes_asgs.manufactured import (DEFAULT_EXACT, ERROR_QUAD_DEGREE,
-                                      ErrorAccumulator, _field_at_quadrature,
-                                      _VerificationObserver,
-                                      accumulate_errors, exact_pressure,
+                                      ErrorAccumulator, _fold, _SquareForm,
+                                      _theta_divergence,
+                                      _VerificationObserver, exact_pressure,
                                       exact_velocity, exact_velocity_gradient,
-                                      forcing, rate_table, residual_indicator,
+                                      forcing, forcing_moments, rate_table,
+                                      residual_indicator,
                                       run_verification_solve)
 
 MU = 0.1
@@ -116,7 +117,104 @@ def test_forcing_decays_in_time():
     assert abs(f1) < 1e-20 and abs(f2) < 1e-20
 
 
+# ------------------------------------ pointwise reference of the norms
+
+# The observer evaluates every norm as a quadratic form in nodal errors.
+# These reference functions integrate the same norms pointwise at the
+# degree-8 points, with the exact fields evaluated there at each time.
+
+def _field_at_quadrature(mesh, rule, u1, u2):
+    """Values (m, nq, 2) and constant gradients (m, 2, 2) of a P1 velocity,
+    grads[k, d, e] = du_d/dx_e on element k."""
+    tri = mesh.triangles
+    u_loc = np.stack([u1[tri], u2[tri]], axis=-1)
+    vals = rule.points @ u_loc
+    grads = np.matmul(u_loc.transpose(0, 2, 1), mesh.shape_gradients)
+    return vals, grads
+
+
+def _l2sq(mesh, field_sq):
+    wq = quadrature_rule(ERROR_QUAD_DEGREE).weights
+    return float((field_sq @ wq) @ mesh.areas)
+
+
+def _reference_snapshot(state, mesh, exact):
+    """Velocity errors of one level at the error points (e1, e2 and the four
+    gradient components) and the squared L2 norm of (e1, e2)."""
+    exact_u, exact_gu, _ = exact
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    x, y = pts[..., 0], pts[..., 1]
+    vals, grads = _field_at_quadrature(mesh, rule, state.u1, state.u2)
+    errors = [vals[..., d] - ex for d, ex in enumerate(exact_u(x, y, state.t))]
+    errors += [grads[:, None, d, e] - ex for (d, e), ex in
+               zip(((0, 0), (0, 1), (1, 0), (1, 1)), exact_gu(x, y, state.t))]
+    return state, errors, _l2sq(mesh, errors[0] ** 2 + errors[1] ** 2)
+
+
+def _reference_parts(snap_n, snap_np1, mesh, theta, dt, exact):
+    alpha = 0.5 * (1 + theta)
+    (state_n, err_n, l2_n), (state_np1, err_np1, l2_np1) = snap_n, snap_np1
+    mid = [alpha * e1 + (1 - alpha) * e0 for e0, e1 in zip(err_n, err_np1)]
+    mid_l2 = _l2sq(mesh, mid[0] ** 2 + mid[1] ** 2)
+    mid_h1 = mid_l2 + _l2sq(mesh, sum(m ** 2 for m in mid[2:]))
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    p_vals = state_np1.p[mesh.triangles] @ rule.points.T
+    p_exact = exact[2](pts[..., 0], pts[..., 1], state_n.t + alpha * dt)
+    div_mid = _theta_divergence(mesh, state_n, state_np1, alpha)
+    return {"snap_n": l2_n, "snap_p": l2_np1, "mid_l2": mid_l2,
+            "mid_h1": mid_h1, "p_l2": _l2sq(mesh, (p_vals - p_exact) ** 2),
+            "div_l2": float(np.sum(mesh.areas * div_mid ** 2))}
+
+
+def _reference_fold(acc, state_n, state_np1, mesh, theta, dt, exact=DEFAULT_EXACT):
+    _fold(acc, _reference_parts(_reference_snapshot(state_n, mesh, exact),
+                                _reference_snapshot(state_np1, mesh, exact),
+                                mesh, theta, dt, exact), dt)
+    return acc
+
+
+def _reference_indicator(state_n, state_np1, mesh, dt, theta, forcing_fn):
+    """eta_k and eta with R1 = f_mid - du/dt - grad p at the error points."""
+    a = mesh.areas
+    alpha = 0.5 * (1 + theta)
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    tri = mesh.triangles
+    f = [alpha * fe + (1 - alpha) * fs for fs, fe in
+         zip(forcing_fn(pts[..., 0], pts[..., 1], state_n.t),
+             forcing_fn(pts[..., 0], pts[..., 1], state_n.t + dt))]
+    du = [rule.points @ (v1 - v0)[tri].T / dt for v0, v1 in
+          ((state_n.u1, state_np1.u1), (state_n.u2, state_np1.u2))]
+    gradp = np.einsum("ki,kid->kd", state_np1.p[tri], mesh.shape_gradients)
+    r1 = [f[d] - du[d].T - gradp[:, d, None] for d in range(2)]
+    r1_sq = a * ((r1[0] ** 2 + r1[1] ** 2) @ rule.weights)
+    r2_sq = a * _theta_divergence(mesh, state_n, state_np1, alpha) ** 2
+    eta_k_sq = mesh.diameters ** 2 * r1_sq + r2_sq
+    return np.sqrt(eta_k_sq), float(np.sqrt(eta_k_sq.sum()))
+
+
 # -------------------------------------------------- error accumulation
+
+_ZERO_EXACT = (lambda x, y, t: (0.0 * x, 0.0 * x),
+               lambda x, y, t: (0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x),
+               lambda x, y, t: 0.0 * x)
+_FZERO = lambda x, y, t: (0.0 * x, 0.0 * x)
+
+
+def _observer(mesh, theta, dt, n_steps, exact=DEFAULT_EXACT, forcing_fn=_FZERO):
+    return _VerificationObserver(mesh, TimeScheme(theta=theta, dt=dt, n_steps=n_steps),
+                                 forcing_fn, exact, collect_steps=True)
+
+
+def _observe(mesh, states, theta, dt, exact=DEFAULT_EXACT):
+    """The observer's accumulated norms over the given time levels."""
+    obs = _observer(mesh, theta, dt, len(states) - 1, exact)
+    for n, state in enumerate(states):
+        obs(n, state, None)
+    return obs.acc
+
 
 def _interp_state(mesh, t):
     return FieldState(
@@ -127,13 +225,9 @@ def _interp_state(mesh, t):
 
 def test_zero_error_for_zero_fields():
     mesh = build_unit_square_mesh(3)
-    zero_exact = (lambda x, y, t: (0.0 * x, 0.0 * x),
-                  lambda x, y, t: (0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x),
-                  lambda x, y, t: 0.0 * x)
     z = np.zeros(mesh.n_vertices)
-    acc = ErrorAccumulator()
-    accumulate_errors(acc, FieldState(z, z, z, 0.0), FieldState(z, z, z, 0.1),
-                      mesh, 1, 0.1, exact=zero_exact)
+    acc = _observe(mesh, [FieldState(z, z, z, 0.0), FieldState(z, z, z, 0.1)],
+                   1, 0.1, exact=_ZERO_EXACT)
     assert acc.u_l2l2_sq == 0.0 and acc.p_l2l2_sq == 0.0
     assert acc.total_error == 0.0
 
@@ -141,17 +235,11 @@ def test_zero_error_for_zero_fields():
 def test_unit_constant_field_norm():
     # discrete field = 1, exact = 0, T = 1: the squared L2(L2) norm is 1
     mesh = build_unit_square_mesh(3)
-    zero_exact = (lambda x, y, t: (0.0 * x, 0.0 * x),
-                  lambda x, y, t: (0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x),
-                  lambda x, y, t: 0.0 * x)
     one = np.ones(mesh.n_vertices)
     z = np.zeros(mesh.n_vertices)
-    acc = ErrorAccumulator()
     dt, n = 0.1, 10
-    for i in range(n):
-        accumulate_errors(acc, FieldState(one, z, z, i * dt),
-                          FieldState(one, z, z, (i + 1) * dt),
-                          mesh, 1, dt, exact=zero_exact)
+    acc = _observe(mesh, [FieldState(one, z, z, i * dt) for i in range(n + 1)],
+                   1, dt, exact=_ZERO_EXACT)
     assert acc.u_l2l2_sq == pytest.approx(1.0, abs=1e-13)
     assert acc.u_max_l2_sq == pytest.approx(1.0, abs=1e-13)
 
@@ -160,17 +248,13 @@ def test_error_scaling_quadratic():
     mesh = build_unit_square_mesh(4)
     rng = np.random.default_rng(2)
     n = mesh.n_vertices
-    zero_exact = (lambda x, y, t: (0.0 * x, 0.0 * x),
-                  lambda x, y, t: (0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x),
-                  lambda x, y, t: 0.0 * x)
     u1, u2, p = rng.standard_normal((3, n))
     s = 3.7
 
     def run(scale):
-        acc = ErrorAccumulator()
         a = FieldState(scale * u1, scale * u2, scale * p, 0.0)
         b = FieldState(scale * u1, scale * u2, scale * p, 0.1)
-        return accumulate_errors(acc, a, b, mesh, 1, 0.1, exact=zero_exact)
+        return _observe(mesh, [a, b], 1, 0.1, exact=_ZERO_EXACT)
 
     base, scaled = run(1.0), run(s)
     assert scaled.u_l2l2_sq == pytest.approx(s ** 2 * base.u_l2l2_sq, rel=1e-12)
@@ -182,14 +266,9 @@ def test_interpolant_error_is_second_order_in_l2():
     errs = {}
     for nx in (4, 8):
         mesh = build_unit_square_mesh(nx)
-        acc = ErrorAccumulator()
         dt, n = 0.25, 4
-        prev = _interp_state(mesh, 0.0)
-        for i in range(1, n + 1):
-            cur = _interp_state(mesh, i * dt)
-            accumulate_errors(acc, prev, cur, mesh, 1, dt)
-            prev = cur
-        errs[nx] = acc
+        errs[nx] = _observe(mesh, [_interp_state(mesh, i * dt) for i in range(n + 1)],
+                            1, dt)
     # nodal interpolation: L2 velocity error O(h^2), H1 part O(h)
     assert errs[4].err_u_l2l2 / errs[8].err_u_l2l2 > 3.0
     assert 1.7 < errs[4].err_u_l2h1 / errs[8].err_u_l2h1 < 2.4
@@ -197,23 +276,114 @@ def test_interpolant_error_is_second_order_in_l2():
 
 def test_interpolant_error_below_solved_error():
     mesh = build_unit_square_mesh(8)
-    acc = ErrorAccumulator()
     dt, n = 0.1, 10
-    prev = _interp_state(mesh, 0.0)
-    for i in range(1, n + 1):
-        cur = _interp_state(mesh, i * dt)
-        accumulate_errors(acc, prev, cur, mesh, 1, dt)
-        prev = cur
+    acc = _observe(mesh, [_interp_state(mesh, i * dt) for i in range(n + 1)], 1, dt)
     solved = run_verification_solve(8, 0.1, 1, 1.0)
     assert acc.err_u_l2l2 < solved.err_u_vtilde
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 8), theta=st.sampled_from([0, 1]),
+       t=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_forms_equal_pointwise_sums(nx, theta, t, seed):
+    # the quadratic forms in nodal errors expand the degree-8 pointwise
+    # integrals exactly, so both agree to rounding for any nodal fields
+    mesh = build_unit_square_mesh(nx)
+    rng = np.random.default_rng(seed)
+    dt = 0.1
+    states = [FieldState(*rng.standard_normal((3, mesh.n_vertices)), t + i * dt)
+              for i in range(2)]
+    fn = lambda x, y, t: forcing(x, y, t, MU)
+    obs = _observer(mesh, theta, dt, 1, forcing_fn=fn)
+    snaps = [_reference_snapshot(s, mesh, DEFAULT_EXACT) for s in states]
+    for n, (state, snap) in enumerate(zip(states, snaps)):
+        obs(n, state, None)
+        assert obs._prev.l2_sq == pytest.approx(snap[2], rel=1e-12, abs=0.0)
+    want = _reference_fold(ErrorAccumulator(), *states, mesh, theta, dt)
+    for name in ("u_l2l2_sq", "u_l2h1_sq", "u_max_l2_sq", "p_l2l2_sq",
+                 "div_l2l2_sq"):
+        assert getattr(obs.acc, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-12, abs=0.0)
+    moments = forcing_moments(mesh, fn, t, dt, theta)
+    eta_k, eta = residual_indicator(*states, mesh, dt, theta, moments)
+    ref_k, ref = _reference_indicator(*states, mesh, dt, theta, fn)
+    assert np.abs(eta_k - ref_k).max() <= 1e-12 * ref_k.max()
+    assert eta == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert obs.steps[0]["eta"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# a P1 exact solution: linear in space, exp(-t) in time
+_P1_U = ((0.3, -1.7, 2.5), (-4.0, 0.6, 1.1))
+_P1_P = (0.2, 0.9, -1.3)
+
+
+def _linear(c, x, y, t):
+    return np.exp(-t) * (c[0] + c[1] * x + c[2] * y)
+
+
+_P1_EXACT = (lambda x, y, t: tuple(_linear(c, x, y, t) for c in _P1_U),
+             lambda x, y, t: tuple(np.exp(-t) * c[k] + 0.0 * x
+                                   for c in _P1_U for k in (1, 2)),
+             lambda x, y, t: _linear(_P1_P, x, y, t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 8), theta=st.sampled_from([0, 1]),
+       t=st.floats(0.0, 2.0))
+def test_p1_exact_interpolant_has_zero_error(nx, theta, t):
+    # a P1 exact field is its own interpolant: the interpolation errors
+    # vanish to rounding and every norm of the interpolated levels is zero
+    # to rounding; no rounded square reaches sqrt below zero
+    mesh = build_unit_square_mesh(nx)
+    dt = 0.1
+    alpha = 0.5 * (1 + theta)
+
+    def level(s, tp):
+        u = [interpolate(lambda x, y, c=c: _linear(c, x, y, s), mesh) for c in _P1_U]
+        return FieldState(*u, interpolate(lambda x, y: _linear(_P1_P, x, y, tp), mesh), s)
+
+    states = [level(t, t), level(t + dt, t + alpha * dt)]
+    obs = _observer(mesh, theta, dt, 1, exact=_P1_EXACT)
+    for n, state in enumerate(states):
+        obs(n, state, None)
+    for form in (obs.forms.velocity, obs.forms.gradient, obs.forms.pressure):
+        assert 0.0 <= form.C <= 1e-28 and np.abs(form.b).max() <= 1e-14
+    acc = obs.acc
+    for sq in (acc.u_l2l2_sq, acc.u_l2h1_sq, acc.u_max_l2_sq, acc.p_l2l2_sq):
+        assert 0.0 <= sq <= 1e-28
+    assert acc.total_error <= 1e-14
+    # with u_h = 0 and p_h the interpolant of c_mid * p0, the forcing grad p
+    # leaves a zero momentum residual; the expanded square rounds around 0,
+    # so eta is zero to the square root of rounding, never NaN
+    c_mid = alpha * math.exp(-t - dt) + (1 - alpha) * math.exp(-t)
+    z = np.zeros(mesh.n_vertices)
+    p_h = c_mid * interpolate(lambda x, y: _linear(_P1_P, x, y, 0.0), mesh)
+    grad_p = lambda x, y, t: (np.exp(-t) * _P1_P[1] + 0.0 * x,
+                              np.exp(-t) * _P1_P[2] + 0.0 * x)
+    eta_k, eta = residual_indicator(FieldState(z, z, z, t), FieldState(z, z, p_h, t + dt),
+                                    mesh, dt, theta,
+                                    forcing_moments(mesh, grad_p, t, dt, theta))
+    assert np.all(np.isfinite(eta_k)) and eta_k.min() >= 0.0
+    assert eta <= 1e-7
+
+
+def test_square_form_clamps_rounding_below_zero():
+    # b and C of an interpolation error that cancels e exactly: the form is
+    # zero in exact arithmetic, and these values round it below zero
+    M = np.array([[2 / 3, 1 / 6], [1 / 6, 2 / 3]])
+    e, c = np.array([[0.9], [0.2]]), 0.3
+    eme = float(np.vdot(e, M @ e))
+    form = _SquareForm(M, None, -(M @ e) / c, eme / c ** 2)
+    assert eme + 2.0 * c * float(np.vdot(e, form.b)) + c * c * form.C < 0.0
+    assert form.square(e, c) == 0.0
 
 
 # ------------------------------------------------------------ kernels
 
 def test_linear_field_kernels_exact():
-    # P1 interpolation reproduces a linear field, so the quadrature values
-    # and gradients are exact, and the closed-form element actions equal
-    # the element tables applied to the nodal values
+    # P1 interpolation reproduces a linear field, so the reference's
+    # quadrature values and gradients are exact, and the closed-form element
+    # actions equal the element tables applied to the nodal values
     mesh = build_unit_square_mesh(3)
     rule = quadrature_rule(8)
     pts = mesh.quad_points(rule)
@@ -246,8 +416,8 @@ def test_indicator_zero_divergence_contribution():
     z = np.zeros(n)
     state = FieldState(c, z, z, 0.0)
     state2 = FieldState(c, z, z, 0.1)
-    fzero = lambda x, y, t: (0.0 * x, 0.0 * x)
-    eta_k, eta = residual_indicator(state, state2, mesh, 0.1, 1, fzero)
+    moments = forcing_moments(mesh, _FZERO, 0.0, 0.1, 1)
+    eta_k, eta = residual_indicator(state, state2, mesh, 0.1, 1, moments)
     assert eta == pytest.approx(0.0, abs=1e-15)
 
 
@@ -258,7 +428,8 @@ def test_indicator_decreases_with_h_for_interpolant():
         prev = _interp_state(mesh, 0.0)
         cur = _interp_state(mesh, 0.1)
         fn = lambda x, y, t: forcing(x, y, t, MU)
-        _, eta = residual_indicator(prev, cur, mesh, 0.1, 1, fn)
+        _, eta = residual_indicator(prev, cur, mesh, 0.1, 1,
+                                    forcing_moments(mesh, fn, 0.0, 0.1, 1))
         etas[nx] = eta
     assert etas[20] < etas[10]
     assert etas[40] < etas[20]
@@ -269,7 +440,8 @@ def test_indicator_shape_and_total():
     prev = _interp_state(mesh, 0.0)
     cur = _interp_state(mesh, 0.1)
     fn = lambda x, y, t: forcing(x, y, t, MU)
-    eta_k, eta = residual_indicator(prev, cur, mesh, 0.1, 1, fn)
+    eta_k, eta = residual_indicator(prev, cur, mesh, 0.1, 1,
+                                    forcing_moments(mesh, fn, 0.0, 0.1, 1))
     assert eta_k.shape == (mesh.n_triangles,)
     assert eta == pytest.approx(np.sqrt((eta_k ** 2).sum()), rel=1e-13)
 
@@ -280,9 +452,8 @@ def test_indicator_shape_and_total():
 @given(nx=st.integers(2, 6), theta=st.sampled_from([0, 1]),
        dt=st.floats(0.01, 0.5), n_steps=st.integers(1, 4))
 def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
-    # the observer computes each level's snapshot once; folding the
-    # standalone accumulate_errors and residual_indicator over the kept
-    # history of the same solve must give the same norms and eta
+    # the observer's quadratic forms must give the norms and eta of the
+    # pointwise reference folded over the kept history of the same solve
     res = run_verification_solve(nx, dt, theta, n_steps * dt,
                                  collect_steps=True)
     mesh = build_unit_square_mesh(nx)
@@ -298,8 +469,8 @@ def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
     acc = ErrorAccumulator()
     etas = []
     for prev, cur in zip(hist, hist[1:]):
-        accumulate_errors(acc, prev, cur, mesh, theta, dt)
-        etas.append(residual_indicator(prev, cur, mesh, dt, theta, fn)[1])
+        _reference_fold(acc, prev, cur, mesh, theta, dt)
+        etas.append(_reference_indicator(prev, cur, mesh, dt, theta, fn)[1])
     acc.eta_sq = sum(dt * e ** 2 for e in etas)
     for name in ("err_u_vtilde", "err_u_l2l2", "err_u_l2h1", "err_p_l2l2",
                  "total", "eta", "err_div_l2l2"):
@@ -318,18 +489,23 @@ def test_verification_solve_bitwise_deterministic():
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(2, 8), t=st.floats(0.0, 2.0))
 def test_observer_field_cache_matches_closed_forms(nx, t):
-    # the observer scales spatial factors evaluated once per mesh by exp(-t)
+    # the observer scales the nodal factors and forcing moments it builds
+    # once per mesh by exp(-t); they must match the fields evaluated at t
     mesh = build_unit_square_mesh(nx)
     fn = lambda x, y, t: forcing(x, y, t, MU)
-    obs = _VerificationObserver(mesh, TimeScheme(theta=1, dt=0.1, n_steps=1),
-                                fn, DEFAULT_EXACT)
-    pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
-    x, y = pts[..., 0], pts[..., 1]
-    for cached, closed in zip((*obs.exact, obs.forcing_fn), (*DEFAULT_EXACT, fn)):
-        want = np.asarray(closed(x, y, t))
-        got = np.asarray(cached(x, y, t))
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    obs = _observer(mesh, 1, 0.1, 1, forcing_fn=fn)
+    z = np.zeros(mesh.n_vertices)
+    obs(0, FieldState(z, z, z, 0.0), None)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    c = math.exp(-t)
+    for cached, want in ((obs.forms.velocity.nodal, np.stack(exact_velocity(x, y, t), -1)),
+                         (obs.forms.pressure.nodal[:, 0], exact_pressure(x, y, t))):
+        assert cached.shape == want.shape
+        assert np.abs(c * cached - want).max() <= 1e-14 * np.abs(want).max()
+    want = forcing_moments(mesh, fn, t - 0.1, 0.1, 1)  # f at t_n + dt = t
+    for cached, closed, scale in zip(obs.forms.forcing, want, (c, c * c)):
+        assert cached.shape == closed.shape
+        assert np.abs(scale * cached - closed).max() <= 1e-14 * np.abs(closed).max()
 
 
 @pytest.mark.parametrize("theta,extra", [(1, 1), (0, 2)])

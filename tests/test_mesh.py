@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stokes_asgs import build_unit_square_mesh, element_geometry
+from stokes_asgs import build_unit_square_mesh
+from stokes_asgs.mesh import Mesh
 
 
 def test_smallest_grid():
@@ -44,39 +45,53 @@ def test_rejects_nx_zero():
         build_unit_square_mesh(0)
 
 
+_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
 def test_unit_right_triangle_geometry():
-    # nx=1: first triangle is (0,0), (1,0), (1,1); build the canonical
-    # (0,0), (1,0), (0,1) case from the second triangle's mirror instead
-    # via direct geometry of element 0 of a fine mesh scaled by hand.
     mesh = build_unit_square_mesh(1)
-    geo = element_geometry(mesh, 1)  # vertices (0,0), (1,1), (0,1)
-    assert geo.area == pytest.approx(0.5, abs=1e-15)
-    assert geo.diameter == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    # element 1 has vertices (0,0), (1,1), (0,1)
+    assert mesh.areas[1] == pytest.approx(0.5, abs=1e-15)
+    assert mesh.diameters[1] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
     # canonical triangle (0,0), (1,0), (0,1): gradient of the basis at the
     # right-angle vertex is (-1, -1) by differentiating 1 - x - y
-    from stokes_asgs.mesh import Mesh
-
-    tri = Mesh(1, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-               np.array([[0, 1, 2], [1, 3, 2]]))
-    geo = element_geometry(tri, 0)
-    assert geo.area == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(geo.shape_gradients[0], [-1.0, -1.0], atol=1e-14)
-    assert geo.diameter == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    tri = Mesh(1, _UNIT_SQUARE, np.array([[0, 1, 2], [1, 3, 2]]))
+    assert tri.areas[0] == pytest.approx(0.5, abs=1e-15)
+    assert np.allclose(tri.shape_gradients[0, 0], [-1.0, -1.0], atol=1e-14)
+    assert tri.diameters[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_element_areas_nx10():
     mesh = build_unit_square_mesh(10)
     for k in (0, 57, 199):
-        assert element_geometry(mesh, k).area == pytest.approx(1.0 / 200.0, abs=1e-15)
+        assert mesh.areas[k] == pytest.approx(1.0 / 200.0, abs=1e-15)
 
 
 def test_index_errors():
-    mesh = build_unit_square_mesh(2)
+    # a triangle that names a vertex past the end of the vertex array
     with pytest.raises(IndexError):
-        element_geometry(mesh, 8)
-    with pytest.raises(IndexError):
-        element_geometry(mesh, -1)
+        Mesh(1, _UNIT_SQUARE, np.array([[0, 1, 4]]))
+
+
+@pytest.mark.parametrize("triangle", [[0, 1, 1], [0, 2, 1]])
+def test_degenerate_or_clockwise_triangle_rejected(triangle):
+    # a repeated vertex has zero area, a clockwise one negative area
+    with pytest.raises(ValueError, match="non-positive signed area"):
+        Mesh(1, _UNIT_SQUARE, np.array([[1, 3, 2], triangle]))
+
+
+def test_triangles_match_cell_loop():
+    # the index arithmetic of build_unit_square_mesh against the plain loop
+    # over cells in row-major order
+    for nx in range(1, 41):
+        want = []
+        for j in range(nx):
+            for i in range(nx):
+                v00 = j * (nx + 1) + i
+                want += [(v00, v00 + 1, v00 + nx + 2),
+                         (v00, v00 + nx + 2, v00 + nx + 1)]
+        assert np.array_equal(build_unit_square_mesh(nx).triangles, np.array(want))
 
 
 @pytest.mark.parametrize("nx", [1, 2, 3, 5, 10])
