@@ -6,7 +6,7 @@ from .asgs_core import (FieldState, StabilizationParams, StepFailureError,
                         update_subscales)
 from .fem_space import (DofMap, QuadratureRule, build_dofmap, interpolate,
                         quadrature_rule)
-from .linalg import SingularMatrixError, SparseMatrix, from_triplets
+from .linalg import SingularMatrixError, SparseMatrix
 from .manufactured import (ErrorAccumulator, LevelResult, RateTable,
                            exact_pressure, exact_velocity,
                            exact_velocity_gradient, forcing, forcing_moments,

@@ -28,7 +28,10 @@ which solves (uprime^{n+alpha} - uprime^n)/dt_eff + uprime^{n+alpha}/tau1
 uprime^{n+1} = (uprime^{n+alpha} - (1-alpha)*uprime^n)/alpha, the
 trapezoidal rule for d(uprime)/dt + uprime/tau1 = R when alpha = 1/2.
 Second derivatives of P1 fields vanish elementwise, so no Laplacian terms
-appear in the residuals or their adjoints.  The assembled system replaces
+appear in the residuals or their adjoints.  The element matrices and
+vectors are summed onto the vertices by ``fem_space.assemble_matrix`` and
+``fem_space.assemble_vector``; this module only forms the element arrays
+and joins the n x n blocks.  The assembled system replaces
 the Dirichlet velocity rows by identity rows and appends a single Lagrange
 multiplier row/column that pins the pressure mean to zero; this constrained
 matrix is the assembly contract.  The direct solver factorizes only the
@@ -41,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from . import linalg
-from .fem_space import quadrature_rule
+from .fem_space import assemble_matrix, assemble_vector, quadrature_rule
 
 ASSEMBLY_QUAD_DEGREE = 5
 
@@ -113,8 +117,9 @@ def _taus(h, mu, c1, c2, dt_eff):
 class StabilizationParams:
     """Per-element stabilization coefficients plus the viscosity.
 
-    ``stabilized=False`` switches every tau-weighted term off, which reduces
-    the assembly to the plain Galerkin theta-scheme.
+    ``for_mesh(..., stabilized=False)`` stores zero taus, which switches
+    every tau-weighted term off and reduces the assembly to the plain
+    Galerkin theta-scheme.
     """
 
     mu: float
@@ -129,26 +134,18 @@ class StabilizationParams:
     @classmethod
     def for_mesh(cls, mesh, mu, c1, c2, dt_eff, stabilized=True):
         tau1, tau2, tau1p = _taus(mesh.diameters, mu, c1, c2, dt_eff)
+        if not stabilized:
+            tau1, tau2, tau1p = np.zeros((3,) + tau1.shape)
         return cls(mu=mu, c1=c1, c2=c2, dt_eff=dt_eff,
                    tau1=tau1, tau2=tau2, tau1p=tau1p, stabilized=stabilized)
 
     @property
     def m_weights(self):
-        if not self.stabilized:
-            return np.zeros_like(self.tau1)
         return self.tau1 / (self.dt_eff + self.tau1)
 
     @property
     def w_weights(self):
         return 1.0 - self.m_weights
-
-    @property
-    def tau1p_eff(self):
-        return self.tau1p if self.stabilized else np.zeros_like(self.tau1p)
-
-    @property
-    def tau2_eff(self):
-        return self.tau2 if self.stabilized else np.zeros_like(self.tau2)
 
 
 @dataclass
@@ -212,21 +209,6 @@ def _grad_div(a, g, weight, c, cp):
     return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
 
 
-def _scatter(tri, blocks):
-    """Global (rows, cols, vals) triplets of element matrices.
-
-    ``blocks`` holds (row offset, column offset, (m, 3, 3) local matrices);
-    entry (i, j) of element k lands at (row offset + tri[k, i],
-    column offset + tri[k, j]).
-    """
-    rows, cols, vals = [], [], []
-    for r, c, local in blocks:
-        rows.append(np.broadcast_to(r + tri[:, :, None], local.shape).ravel())
-        cols.append(np.broadcast_to(c + tri[:, None, :], local.shape).ravel())
-        vals.append(np.ravel(local))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
 def _p1_actions(mesh, u_loc):
     """Closed forms of the ``_element_tables`` products with u_loc (m, 3, d).
 
@@ -248,55 +230,39 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
     otherwise the raw operator of size 2*n_u + n_p is returned (used by the
     eigenvalue diagnostics).
     """
-    n_u, n_p = dofmap.n_u, dofmap.n_p
     a, g, mass, stiff, div = _element_tables(mesh)
     alpha, dt = scheme.alpha, scheme.dt
-
-    m_w = params.m_weights
-    w_w = params.w_weights
-    t1p = params.tau1p_eff
-    t2 = params.tau2_eff
+    m_w, t1p = params.m_weights, params.tau1p
 
     # velocity-velocity: time derivative + viscosity on each component,
     # grad-div coupling across components
-    diag_block = (w_w / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
-    blocks = []
+    diag_block = (params.w_weights / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
+    blocks = [[_grad_div(a, g, alpha * params.tau2, c, cp) + (diag_block if c == cp else 0.0)
+               for cp in range(2)] for c in range(2)]
     for c in range(2):
-        blocks.append((c * n_u, c * n_u, diag_block))
-        for cp in range(2):
-            blocks.append((c * n_u, cp * n_u, _grad_div(a, g, alpha * t2, c, cp)))
-    for c in range(2):
-        gc = g[:, :, c]
         # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
-        blocks.append((c * n_u, 2 * n_u, -div[:, c].transpose(0, 2, 1)
-                       - (m_w * a / 3.0)[:, None, None] * gc[:, None, :]))
-        # continuity-velocity: Galerkin (div u_mid, q) and subscale
-        # tau1p*(u_new/dt, grad q)
-        blocks.append((2 * n_u, c * n_u, alpha * div[:, c]
-                       + (t1p * a / (3.0 * dt))[:, None, None] * gc[:, :, None]))
-    # continuity-pressure: tau1p * pressure Laplacian
-    blocks.append((2 * n_u, 2 * n_u, t1p[:, None, None] * stiff))
-    rows, cols, vals = _scatter(mesh.triangles, blocks)
-
+        blocks[c].append(-div[:, c].transpose(0, 2, 1)
+                         - (m_w * a / 3.0)[:, None, None] * g[:, None, :, c])
+    # continuity-velocity: Galerkin (div u_mid, q) and subscale
+    # tau1p*(u_new/dt, grad q); continuity-pressure: tau1p * pressure Laplacian
+    blocks.append([alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
+                   for c in range(2)] + [t1p[:, None, None] * stiff])
+    K = [[assemble_matrix(mesh, local) for local in row] for row in blocks]
     if not constrained:
-        n_total = 2 * n_u + n_p
-        return linalg.from_triplets(n_total, n_total, (rows, cols, vals))
+        return linalg.SparseMatrix(sp.bmat(K, format="csr"))
 
-    n_total = dofmap.n_dofs
-    mult = dofmap.multiplier_index
-    p_idx = 2 * n_u + np.arange(n_p)
-    rows = np.concatenate([rows, p_idx, np.full(n_p, mult)])
-    cols = np.concatenate([cols, np.full(n_p, mult), p_idx])
-    vals = np.concatenate([vals, dofmap.mean_vector, dofmap.mean_vector])
-
-    # Dirichlet row replacement: drop every entry of a constrained row, then
-    # put a 1 on its diagonal.
-    keep = ~dofmap.dirichlet_mask(n_total)[rows]
-    d = dofmap.dirichlet_dofs
-    rows = np.concatenate([rows[keep], d])
-    cols = np.concatenate([cols[keep], d])
-    vals = np.concatenate([vals[keep], np.ones(d.size)])
-    return linalg.from_triplets(n_total, n_total, (rows, cols, vals))
+    mean = sp.csr_matrix(dofmap.mean_vector[:, None])
+    K = sp.bmat([K[0] + [None], K[1] + [None], K[2] + [mean], [None, None, mean.T, None]],
+                format="csr")
+    # Dirichlet rows become identity rows: each keeps its stored diagonal,
+    # set to 1, and drops the rest.  Slicing the CSR arrays prunes no stored
+    # zero elsewhere, so the pattern stays that of the element couplings.
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    on = dofmap.dirichlet_mask()[rows]
+    keep = ~on | (K.indices == rows)
+    indptr = np.searchsorted(np.flatnonzero(keep), K.indptr)
+    return linalg.SparseMatrix(sp.csr_matrix(
+        (np.where(on, 1.0, K.data)[keep], K.indices[keep], indptr), shape=K.shape))
 
 
 def _forcing_at(forcing, pts, t):
@@ -349,10 +315,7 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     tri = mesh.triangles
     a, g = mesh.areas, mesh.shape_gradients
     alpha, dt, dt_eff = scheme.alpha, scheme.dt, scheme.dt_eff
-
-    w_w = params.w_weights
-    t1p = params.tau1p_eff
-    t2 = params.tau2_eff
+    w_w, t1p, t2 = params.w_weights, params.tau1p, params.tau2
 
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
     wq = rule.weights
@@ -367,21 +330,18 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     div_un = grad_u[:, 0, 0] + grad_u[:, 1, 1]
     ubar = u_loc.mean(axis=1)  # element means of u_old
 
-    def scatter(local):  # sum the (m, 3) element vectors onto the vertices
-        return np.bincount(tri.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
-
     parts = []
     cont = -((1 - alpha) * a / 3.0 * div_un)[:, None] * np.ones(3)
     for c in range(2):
         load_c = load[:, :, c]
-        parts.append(scatter((w_w / dt)[:, None] * mass_u[:, :, c]
-                             - (params.mu * (1 - alpha)) * stiff_u[:, :, c]
-                             - ((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
-                             + (w_w * a)[:, None] * ((wq * load_c) @ rule.points)))
+        parts.append(assemble_vector(mesh, (w_w / dt)[:, None] * mass_u[:, :, c]
+                                     - (params.mu * (1 - alpha)) * stiff_u[:, :, c]
+                                     - ((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
+                                     + (w_w * a)[:, None] * ((wq * load_c) @ rule.points)))
         # continuity rows: tau1p (u_old/dt + f + d, grad q)
         cont += ((t1p * a)[:, None] * g[:, :, c]
                  * (ubar[:, c] / dt + load_c @ wq)[:, None])
-    rhs = np.concatenate(parts + [scatter(cont), [0.0]])  # multiplier row 0
+    rhs = np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
     rhs[dofmap.dirichlet_dofs] = 0.0
     return rhs
 
@@ -412,7 +372,7 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     resid = _momentum_residual(mesh, quadrature_rule(ASSEMBLY_QUAD_DEGREE),
                                state_old, state_new, scheme.dt, alpha,
                                _levels(forcing, mesh))
-    uprime_mid = params.tau1p_eff[:, None, None] * (resid + subscale_n.uprime / scheme.dt_eff)
+    uprime_mid = params.tau1p[:, None, None] * (resid + subscale_n.uprime / scheme.dt_eff)
     return SubscaleState((uprime_mid - (1 - alpha) * subscale_n.uprime) / alpha)
 
 
@@ -493,13 +453,13 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
 
 
 def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
-                    observer=None, keep_history=True):
-    """Run the time loop from ``initial`` over ``scheme.n_steps`` steps.
+                    observer=None):
+    """Run the time loop from ``initial`` over ``scheme.n_steps`` steps and
+    return the final ``FieldState``.
 
     The observer, if given, is called as observer(n, state, subscale) for
-    n = 0 (initial data) through n_steps, which allows norm accumulation
-    without retaining the trajectory; with ``keep_history=False`` only
-    [initial, final] states are returned.  Step failures are re-raised as
+    n = 0 (initial data) through n_steps; it accumulates norms, or collects
+    the trajectory, along the loop.  Step failures are re-raised as
     StepFailureError carrying the 1-based failing step index.  The forcing
     is evaluated once per time level.
     """
@@ -515,7 +475,6 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     except linalg.SingularMatrixError as exc:
         # factorization is part of taking the first step
         raise StepFailureError(1, str(exc)) from exc
-    history = [state]
     for n in range(1, scheme.n_steps + 1):
         try:
             state, subscale = step(mesh, dofmap, state, subscale, scheme, params,
@@ -524,11 +483,7 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
             raise StepFailureError(n, str(exc)) from exc
         if observer is not None:
             observer(n, state, subscale)
-        if keep_history:
-            history.append(state)
-    if not keep_history:
-        history.append(state)
-    return history
+    return state
 
 
 # Largest total size of the dense arrays one diagnostic may hold at once.
@@ -606,17 +561,12 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     # at most L, W and four n_p x n_p arrays
     _check_dense_budget("infsup_constant", free.size * (free.size + n_p) + 4 * n_p ** 2)
     a, g, mass, stiff, div = _element_tables(mesh)
-
-    def assemble(n_rows, n_cols, blocks):
-        return linalg.from_triplets(n_rows, n_cols, _scatter(mesh.triangles, blocks)).csr
-
-    blocks = [(c * n_u, c * n_u, stiff + mass) for c in range(2)]
-    if stabilized:
-        blocks += [(c * n_u, cp * n_u, _grad_div(a, g, params.tau2_eff, c, cp))
-                   for c in range(2) for cp in range(2)]
-    A = assemble(2 * n_u, 2 * n_u, blocks)
-    B = assemble(n_p, 2 * n_u, [(0, c * n_u, div[:, c]) for c in range(2)])
-    Mp = assemble(n_p, n_p, [(0, 0, mass)])
+    t2 = params.tau2 if stabilized else np.zeros_like(a)
+    A = sp.bmat([[assemble_matrix(mesh, _grad_div(a, g, t2, c, cp)
+                                  + (stiff + mass if c == cp else 0.0))
+                  for cp in range(2)] for c in range(2)], format="csr")
+    B = sp.hstack([assemble_matrix(mesh, div[:, c]) for c in range(2)], format="csr")
+    Mp = assemble_matrix(mesh, mass)
 
     L = scipy.linalg.cholesky(A[free][:, free].toarray(order="F"), lower=True,
                               overwrite_a=True)
@@ -625,7 +575,7 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     S = W.T @ W
     del L, W
     if stabilized:
-        S += assemble(n_p, n_p, [(0, 0, params.tau1p_eff[:, None, None] * stiff)]).toarray()
+        S += assemble_matrix(mesh, params.tau1p[:, None, None] * stiff).toarray()
 
     v = _mean_reflector(dofmap.mean_vector)
     S = _project(S, v, 0)

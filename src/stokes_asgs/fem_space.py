@@ -1,4 +1,10 @@
-"""P1 Lagrange basis, triangle quadrature and degree-of-freedom layout.
+"""P1 Lagrange basis, triangle quadrature, degree-of-freedom layout and the
+sum of element arrays onto the vertices.
+
+Every element-to-vertex sum in the package goes through ``assemble_vector``
+((m, 3[, d]) element vectors to (n[, d]) nodal vectors) or
+``assemble_matrix`` ((m, 3, 3) element matrices to an n x n CSR matrix on
+the P1 vertex-coupling pattern, built once per mesh).
 
 Global unknowns are blocked as [u1 | u2 | p | mean-pressure multiplier]:
 velocity components first (one scalar dof per vertex each), then pressure
@@ -8,9 +14,11 @@ Dirichlet dofs, is that of the assembled system; the direct solver
 factorizes only its interior part and recovers the multiplier.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ class DofMap:
     def multiplier_index(self):
         return 2 * self.n_u + self.n_p
 
-    def dirichlet_mask(self, n_total=None):
-        mask = np.zeros(n_total if n_total is not None else self.n_dofs, dtype=bool)
+    def dirichlet_mask(self):
+        mask = np.zeros(self.n_dofs, dtype=bool)
         mask[self.dirichlet_dofs] = True
         return mask
 
@@ -150,13 +158,47 @@ def build_dofmap(mesh):
     boundary = np.nonzero(mesh.boundary_mask)[0]
     dirichlet = np.sort(np.concatenate([boundary, n + boundary]))
 
-    mean_vector = np.zeros(n)
-    np.add.at(mean_vector, mesh.triangles.ravel(),
-              np.repeat(mesh.areas / 3.0, 3))
+    mean_vector = assemble_vector(
+        mesh, np.broadcast_to((mesh.areas / 3.0)[:, None], mesh.triangles.shape))
 
     dirichlet.setflags(write=False)
     mean_vector.setflags(write=False)
     return DofMap(n_u=n, n_p=n, dirichlet_dofs=dirichlet, mean_vector=mean_vector)
+
+
+def assemble_vector(mesh, local):
+    """Sum of the element vectors ``local`` (m, 3[, d]) onto the vertices.
+
+    Entry i of element k adds to vertex triangles[k, i], in element order;
+    returns shape (n_vertices[, d]).
+    """
+    tri, n = mesh.triangles.ravel(), mesh.n_vertices
+    cols = local.reshape(tri.size, math.prod(local.shape[2:]))
+    return np.stack([np.bincount(tri, weights=cols[:, c], minlength=n)
+                     for c in range(cols.shape[1])], axis=-1).reshape((n,) + local.shape[2:])
+
+
+def _p1_pattern(mesh):
+    """CSR (indptr, indices) of the vertex pairs that share an element, and
+    the position in ``indices`` of every element entry (k, i, j), (m, 3, 3)."""
+    n, tri = mesh.n_vertices, mesh.triangles
+    pairs, slots = np.unique((tri[:, :, None] * n + tri[:, None, :]).ravel(),
+                             return_inverse=True)
+    indptr = np.searchsorted(pairs, n * np.arange(n + 1))
+    return indptr, pairs % n, slots.reshape(tri.shape + (3,))
+
+
+def assemble_matrix(mesh, local):
+    """Sum of the element matrices ``local`` (m, 3, 3) into an n x n CSR matrix.
+
+    Entry (i, j) of element k adds to (triangles[k, i], triangles[k, j]).
+    The pattern is every vertex pair that shares an element, whatever the
+    values: a sum that is zero stays a stored entry.
+    """
+    indptr, indices, slots = mesh.table("p1_pattern", _p1_pattern)
+    n = mesh.n_vertices
+    data = np.bincount(slots.ravel(), weights=np.ravel(local), minlength=indices.size)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def interpolate(g, mesh):

@@ -1,6 +1,7 @@
 """Sparse storage and the direct solver for the assembled systems.
 
-Thin layer over scipy.sparse: compressed-row storage built from triplets
+Thin layer over scipy.sparse: canonical compressed-row storage of the
+matrices that ``fem_space.assemble_matrix`` sums and ``asgs_core`` joins,
 and a sparse LU with a singularity gate.  The time stepper hands the LU the
 reduced interior system, free of the Dirichlet identity rows and the dense
 mean-pressure multiplier row/column (``asgs_core.ReducedFactor``).  That
@@ -14,7 +15,6 @@ unstabilized equal-order variant may be genuinely rank deficient;
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # Relative size under which an LU pivot declares the matrix singular.
@@ -49,23 +49,6 @@ class SparseMatrix:
 
     def to_dense(self):
         return self.csr.toarray()
-
-
-def from_triplets(n_rows, n_cols, triplets):
-    """Assemble a SparseMatrix from a (rows, cols, values) tuple of arrays.
-
-    Duplicate entries are summed.
-    """
-    rows, cols, vals = triplets
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        raise ValueError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError("column index out of range")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return SparseMatrix(coo.tocsr())
 
 
 class DirectFactor:

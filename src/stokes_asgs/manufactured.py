@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asgs_core, linalg
+from . import asgs_core
 from .asgs_core import (FieldState, StabilizationParams, TimeScheme,
                         count_steps)
-from .fem_space import build_dofmap, interpolate, quadrature_rule
+from .fem_space import (assemble_matrix, assemble_vector, build_dofmap,
+                        interpolate, quadrature_rule)
 from .mesh import build_unit_square_mesh
 
 ERROR_QUAD_DEGREE = 8
@@ -161,14 +162,18 @@ def _fold(acc, parts, dt):
 
 ForcingMoments = namedtuple("ForcingMoments", "lam sq")
 ForcingMoments.__doc__ = """Element moments of a forcing f at the error points:
-lam[k, i] = int_k f l_i, shape (m, 3, 2), and sq[k] = int_k |f|^2, shape (m,)."""
+lam[k, i] = int_k f l_i, shape (m, 3, 2), and the centred
+sq[k] = int_k |f - fbar_k|^2, shape (m,), about the element mean
+fbar_k = sum_i lam[k, i] / a_k."""
 
 
 def _moments(mesh, f):
     """``ForcingMoments`` of the values ``f`` (m, nq, 2) at the error points."""
     rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    wf = (mesh.areas[:, None] * rule.weights)[..., None] * f
-    return ForcingMoments(rule.points.T @ wf, np.einsum("kqc,kqc->k", wf, f))
+    wa = (mesh.areas[:, None] * rule.weights)[..., None]
+    lam = rule.points.T @ (wa * f)
+    dev = f - (np.einsum("kic->kc", lam) / mesh.areas[:, None])[:, None]
+    return ForcingMoments(lam, np.einsum("kqc,kqc->k", wa * dev, dev))
 
 
 def forcing_moments(mesh, forcing_fn, t_n, dt, theta):
@@ -187,9 +192,11 @@ def residual_indicator(state_n, state_np1, mesh, dt, theta, moments):
     residuals R1 = f - (du_h/dt + grad p_h) (no Laplacian for P1) and
     R2 = -div u_h, both at the (n, theta) level; ``moments`` are the
     ``ForcingMoments`` of the interval forcing f.  With du = (u^{n+1} - u^n)/dt
-    nodal and grad p_h constant, ||R1||_k^2 is in closed form
-    int|f|^2 - 2 (sum_i du_i . int f l_i + grad p . int f) + du^T M_k du
-    + 2 (a/3) grad p . sum_i du_i + a |grad p|^2; a value that rounding
+    nodal and grad p_h constant, ||R1||_k^2 is in closed form, expanded
+    about the element constant g = fbar - grad p_h (fbar the element mean
+    of f) so that a small residual keeps its digits:
+    int|f - fbar|^2 - 2 sum_i du_i . (int f l_i - (a/3) fbar)
+    + a |g|^2 - (2a/3) g . sum_i du_i + du^T M_k du; a value that rounding
     takes below zero counts as zero.  Returns (eta_k, eta).
     """
     tri, a, lam = mesh.triangles, mesh.areas, moments.lam
@@ -197,12 +204,13 @@ def residual_indicator(state_n, state_np1, mesh, dt, theta, moments):
                            state_np1.u2 - state_n.u2], axis=-1) / dt, tri, axis=0)
     gradp = np.einsum("ki,kid->kd", np.take(state_np1.p, tri), mesh.shape_gradients)
     du_sum = np.einsum("kic->kc", du)
+    lam_sum = np.einsum("kic->kc", lam)  # a * fbar
+    g = lam_sum / a[:, None] - gradp
     r1_sq = (moments.sq
-             - 2.0 * (np.einsum("kic,kic->k", du, lam)
-                      + np.einsum("kc,kic->k", gradp, lam))
+             - 2.0 * np.einsum("kic,kic->k", du, lam - lam_sum[:, None] / 3.0)
+             + a * np.einsum("kc,kc->k", g, g - 2.0 / 3.0 * du_sum)
              + a / 12.0 * (np.einsum("kic,kic->k", du, du)
-                           + np.einsum("kc,kc->k", du_sum, du_sum))
-             + a * np.einsum("kc,kc->k", gradp, 2.0 / 3.0 * du_sum + gradp))
+                           + np.einsum("kc,kc->k", du_sum, du_sum)))
     r1_sq = np.maximum(r1_sq, 0.0)
     alpha = 0.5 * (1 + theta)
     r2_sq = a * _theta_divergence(mesh, state_n, state_np1, alpha) ** 2
@@ -303,36 +311,29 @@ def _error_forms(mesh, exact, forcing_fn):
     t = 0 factors of the separable ``exact`` fields and ``forcing_fn``."""
     rule = quadrature_rule(ERROR_QUAD_DEGREE)
     pts = mesh.quad_points(rule)
-    tri, n = mesh.triangles, mesh.n_vertices
+    tri = mesh.triangles
     _, g, mass, stiff, _ = asgs_core._element_tables(mesh)
     wa = (mesh.areas[:, None] * rule.weights)[..., None]  # (m, nq, 1)
-
-    def matrix(local):
-        return linalg.from_triplets(n, n, asgs_core._scatter(tri, [(0, 0, local)])).csr
-
-    def scatter(local):  # sum the (m, 3, d) element vectors onto the vertices
-        return np.stack([np.bincount(tri.ravel(), weights=local[..., c].ravel(), minlength=n)
-                         for c in range(local.shape[-1])], axis=-1)
 
     def factor(fn, where):  # fn(x, y, 0) at ``where`` (..., 2), stacked to (..., d)
         return asgs_core._forcing_at(fn, where, 0.0)
 
     exact_u, exact_gu, exact_p = exact
-    M = matrix(mass)
+    M = assemble_matrix(mesh, mass)
     l2 = []
     for fn in (exact_u, lambda x, y, t: (exact_p(x, y, t),)):
         nodal = factor(fn, mesh.vertices)
         rho = rule.points @ nodal[tri] - factor(fn, pts)  # rho0, (m, nq, d)
         w_rho = wa * rho
-        l2.append(_SquareForm(M, nodal, scatter(rule.points.T @ w_rho),
+        l2.append(_SquareForm(M, nodal, assemble_vector(mesh, rule.points.T @ w_rho),
                               float(np.einsum("kqd,kqd->", w_rho, rho))))
     nodal = l2[0].nodal
     # grad rho0[k, q, d, e] = d(rho0_d)/dx_e: constant grad I_h f0 minus grad f0
     grad_rho = (np.matmul(nodal[tri].transpose(0, 2, 1), g)[:, None]
                 - factor(exact_gu, pts).reshape(pts.shape[:2] + (2, 2)))
     grad_int = np.einsum("kq,kqde->kde", wa[..., 0], grad_rho)  # (m, d, e)
-    gradient = _SquareForm(matrix(stiff), nodal,
-                           scatter(g @ grad_int.transpose(0, 2, 1)),
+    gradient = _SquareForm(assemble_matrix(mesh, stiff), nodal,
+                           assemble_vector(mesh, g @ grad_int.transpose(0, 2, 1)),
                            float(np.einsum("kq,kqde,kqde->", wa[..., 0], grad_rho, grad_rho)))
     return _Forms(l2[0], gradient, l2[1], _moments(mesh, factor(forcing_fn, pts)))
 
@@ -426,7 +427,7 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
     observer = _VerificationObserver(mesh, scheme, forcing_fn, DEFAULT_EXACT,
                                      collect_steps=collect_steps)
     asgs_core.solve_transient(mesh, dofmap, scheme, params, forcing_fn,
-                              initial, observer=observer, keep_history=False)
+                              initial, observer=observer)
     acc = observer.acc
     return LevelResult(nx=nx, dt=dt, theta=theta,
                        err_u_vtilde=acc.err_u_vtilde,

@@ -19,6 +19,9 @@ class Mesh:
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.n_vertices = self.vertices.shape[0]
         self.n_triangles = self.triangles.shape[0]
+        if self.triangles.size and (self.triangles.min() < 0
+                                    or self.triangles.max() >= self.n_vertices):
+            raise ValueError(f"triangle vertex indices must lie in [0, {self.n_vertices})")
 
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         on_boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
@@ -31,7 +34,13 @@ class Mesh:
         for arr in (self.vertices, self.triangles, self.areas,
                     self.shape_gradients, self.diameters):
             arr.setflags(write=False)
-        self._quad_point_cache = {}
+        self._tables = {}
+
+    def table(self, key, build):
+        """``build(self)``, computed on the first call for ``key`` and kept."""
+        if key not in self._tables:
+            self._tables[key] = build(self)
+        return self._tables[key]
 
     def quad_points(self, rule):
         """Physical coordinates of a quadrature rule on every element.
@@ -39,13 +48,12 @@ class Mesh:
         Returns an array of shape (n_triangles, n_points, 2), each coordinate
         slice contiguous; the result is cached per rule degree.
         """
-        key = rule.degree
-        if key not in self._quad_point_cache:
-            corners = self.vertices[self.triangles].transpose(2, 0, 1)  # (2, m, 3)
+        def build(mesh):
+            corners = mesh.vertices[mesh.triangles].transpose(2, 0, 1)  # (2, m, 3)
             pts = (corners @ rule.points.T).transpose(1, 2, 0)
             pts.setflags(write=False)
-            self._quad_point_cache[key] = pts
-        return self._quad_point_cache[key]
+            return pts
+        return self.table(("quad_points", rule.degree), build)
 
 
 def build_unit_square_mesh(nx):

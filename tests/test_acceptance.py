@@ -64,8 +64,7 @@ def time_study():
     for i in range(4):
         scheme = TimeScheme(theta=0, dt=0.05 / 2 ** i, n_steps=20 * 2 ** i)
         params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
-        finals.append(solve_transient(mesh, dofmap, scheme, params, fn,
-                                      initial, keep_history=False)[-1])
+        finals.append(solve_transient(mesh, dofmap, scheme, params, fn, initial))
 
     rule = quadrature_rule(2)
 

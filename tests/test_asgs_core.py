@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_asgs import build_dofmap, build_unit_square_mesh, interpolate
-from stokes_asgs import asgs_core, linalg
+from stokes_asgs import asgs_core
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    ReducedFactor, StepFailureError,
                                    SubscaleState, TimeScheme, _element_tables,
@@ -59,8 +59,6 @@ def test_tau_invariants():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
     assert np.all(params.tau1 > 0) and np.all(params.tau2 > 0)
     assert np.all(params.tau1p < np.minimum(params.tau1, 0.05))
-    # pressure slot of the time-regularized matrix is untouched
-    assert np.all(params.tau2_eff == params.tau2)
     assert np.allclose(params.m_weights + params.w_weights, 1.0)
 
 
@@ -180,9 +178,8 @@ def test_zero_problem_stays_zero():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                       np.zeros(mesh.n_vertices), 0.0)
-    hist = solve_transient(mesh, dofmap, scheme, params,
-                           lambda x, y, t: (0.0 * x, 0.0 * x), zero)
-    final = hist[-1]
+    final = solve_transient(mesh, dofmap, scheme, params,
+                            lambda x, y, t: (0.0 * x, 0.0 * x), zero)
     assert np.abs(final.u1).max() == 0.0
     assert np.abs(final.u2).max() == 0.0
     assert np.abs(final.p).max() == 0.0
@@ -217,7 +214,7 @@ def test_constraints_preserved_over_run():
             assert abs(dofmap.mean_vector @ state.p) < 1e-9
 
     solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
-                    _initial_state(mesh), observer=observer, keep_history=False)
+                    _initial_state(mesh), observer=observer)
 
 
 def test_one_step_consistency_orders():
@@ -251,9 +248,8 @@ def test_temporal_self_convergence_backward_euler():
     for dt in (0.1, 0.05, 0.025, 0.0125):
         scheme = TimeScheme(theta=1, dt=dt, n_steps=round(1.0 / dt))
         params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-        hist = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
-                               _initial_state(mesh), keep_history=False)
-        finals[dt] = hist[-1]
+        finals[dt] = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
+                                     _initial_state(mesh))
 
     def gap(a, b):
         return np.hypot(a.u1 - b.u1, a.u2 - b.u2).max()
@@ -271,11 +267,11 @@ def test_single_step_run_equals_step():
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     init = _initial_state(mesh)
-    hist = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), init)
+    final = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), init)
     direct, _ = step(mesh, dofmap, init, SubscaleState.zeros(mesh), scheme,
                      params, _forcing_fn())
-    assert np.array_equal(hist[-1].u1, direct.u1)
-    assert np.array_equal(hist[-1].p, direct.p)
+    assert np.array_equal(final.u1, direct.u1)
+    assert np.array_equal(final.p, direct.p)
 
 
 def test_solve_transient_history_and_observer():
@@ -283,16 +279,20 @@ def test_solve_transient_history_and_observer():
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.25, n_steps=4)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    seen = []
-    hist = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
-                           _initial_state(mesh),
-                           observer=lambda n, s, u: seen.append((n, s.t)))
+    seen, hist = [], []
+
+    def observer(n, s, u):
+        seen.append((n, s.t))
+        hist.append(s)
+
+    final = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
+                            _initial_state(mesh), observer=observer)
     assert len(hist) == 5
     assert seen == [(n, pytest.approx(0.25 * n)) for n in range(5)]
     lean = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
-                           _initial_state(mesh), keep_history=False)
-    assert len(lean) == 2
-    assert np.allclose(lean[-1].u1, hist[-1].u1)
+                           _initial_state(mesh))
+    assert final is hist[-1]
+    assert np.allclose(lean.u1, hist[-1].u1)
 
 
 def test_step_failure_carries_index():
@@ -314,9 +314,8 @@ def test_determinism_bitwise():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     runs = []
     for _ in range(2):
-        hist = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
-                               _initial_state(mesh), keep_history=False)
-        runs.append(hist[-1])
+        runs.append(solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
+                                    _initial_state(mesh)))
     assert np.array_equal(runs[0].u1, runs[1].u1)
     assert np.array_equal(runs[0].u2, runs[1].u2)
     assert np.array_equal(runs[0].p, runs[1].p)
@@ -397,6 +396,30 @@ def test_direct_factor_symmetric_ordering(theta):
     # nx=40; COLAMD, which ignores its structural symmetry, fills 7.25x
     fill, nnz = _reduced_fill(40, theta)
     assert fill <= 6 * nnz
+
+
+# nnz of the constrained and the raw step matrix: the vertex pairs that
+# share an element, in all nine blocks, plus the multiplier border; the
+# exact zeros of the P1 stiffness on the diagonal edges stay stored
+_STEP_MATRIX_NNZ = {1: (58, 126), 2: (199, 369), 10: (6007, 6849),
+                    40: (101887, 102969)}
+
+
+@pytest.mark.parametrize("nx", sorted(_STEP_MATRIX_NNZ))
+def test_step_matrix_pattern_counts(nx):
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    for theta in (0, 1):
+        scheme = TimeScheme(theta=theta, dt=1.0 / nx, n_steps=1)
+        for stabilized in (True, False):
+            params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
+                                                  stabilized=stabilized)
+            counts = tuple(assemble_lhs(mesh, dofmap, scheme, params,
+                                        constrained=c).n_nonzeros for c in (True, False))
+            assert counts == _STEP_MATRIX_NNZ[nx]
+            if nx == 40 and stabilized:
+                matrix = assemble_lhs(mesh, dofmap, scheme, params)
+                assert ReducedFactor(matrix, dofmap).factor.csr.nnz == 95366
 
 
 # ------------------------------------------------------------ subscales
@@ -549,7 +572,7 @@ def test_dense_diagnostics_refuse_large_meshes(monkeypatch):
         raise AssertionError("assembled before the size guard")
 
     monkeypatch.setattr(asgs_core, "assemble_lhs", refuse)
-    monkeypatch.setattr(linalg, "from_triplets", refuse)
+    monkeypatch.setattr(asgs_core, "assemble_matrix", refuse)
     budget = str(asgs_core.DENSE_BUDGET_BYTES)
     n_free, n_p = 2 * 99 ** 2, 101 ** 2
     with pytest.raises(ValueError) as info:
@@ -638,14 +661,14 @@ def _infsup_element_loop(mesh, dofmap, stabilized, params):
         mass = a / 12.0 * (np.ones((3, 3)) + np.eye(3))
         stiff = a * g @ g.T
         Mp[np.ix_(idx, idx)] += mass
-        L[np.ix_(idx, idx)] += params.tau1p_eff[k] * stiff
+        L[np.ix_(idx, idx)] += params.tau1p[k] * stiff
         for c in range(2):
             A[np.ix_(c * n_u + idx, c * n_u + idx)] += stiff + mass
             B[np.ix_(idx, c * n_u + idx)] += a / 3.0 * np.tile(g[:, c], (3, 1))
             for cp in range(2):
                 if stabilized:
                     A[np.ix_(c * n_u + idx, cp * n_u + idx)] += (
-                        params.tau2_eff[k] * a * np.outer(g[:, c], g[:, cp]))
+                        params.tau2[k] * a * np.outer(g[:, c], g[:, cp]))
     free = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
     S = B[:, free] @ np.linalg.solve(A[np.ix_(free, free)], B[:, free].T)
     if stabilized:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
-                         quadrature_rule)
+from stokes_asgs import (Mesh, build_dofmap, build_unit_square_mesh,
+                         interpolate, quadrature_rule)
+from stokes_asgs.fem_space import assemble_matrix, assemble_vector
 from stokes_asgs.manufactured import exact_velocity
 
 
@@ -150,3 +153,43 @@ def test_interpolate_linearity():
     combo = interpolate(lambda x, y: a * g1(x, y) + b * g2(x, y), mesh)
     parts = a * interpolate(g1, mesh) + b * interpolate(g2, mesh)
     assert np.abs(combo - parts).max() < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(1, 6), keep=st.floats(0.0, 1.0), zeros=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assembly_forms_equal_element_loop(nx, keep, zeros, seed):
+    # a random subset of the elements (possibly none, leaving vertices
+    # without elements) with random element arrays, part of them zero
+    rng = np.random.default_rng(seed)
+    full = build_unit_square_mesh(nx)
+    mesh = Mesh(nx, full.vertices, full.triangles[rng.random(full.n_triangles) < keep])
+    m, n = mesh.n_triangles, mesh.n_vertices
+    mat = rng.standard_normal((m, 3, 3))
+    mat[rng.random(mat.shape) < zeros] = 0.0
+    vec = rng.standard_normal((m, 3))
+    vec2 = rng.standard_normal((m, 3, 2))
+
+    dense = np.zeros((n, n))
+    pairs = set()
+    want, want2 = np.zeros(n), np.zeros((n, 2))
+    for k, idx in enumerate(mesh.triangles):
+        for i in range(3):
+            want[idx[i]] += vec[k, i]
+            want2[idx[i]] += vec2[k, i]
+            for j in range(3):
+                dense[idx[i], idx[j]] += mat[k, i, j]
+                pairs.add((idx[i], idx[j]))
+
+    A = assemble_matrix(mesh, mat)
+    x = rng.standard_normal(n)
+    assert A.shape == (n, n) and A.has_canonical_format
+    assert np.abs(A @ x - dense @ x).max(initial=0.0) <= 1e-13
+    # every coupled pair is stored once, zero sums included
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    assert set(zip(rows.tolist(), A.indices.tolist())) == pairs
+    assert A.nnz == len(pairs) == assemble_matrix(mesh, 0.0 * mat).nnz
+    assert np.abs(assemble_vector(mesh, vec) - want).max(initial=0.0) <= 1e-13
+    assert np.abs(assemble_vector(mesh, vec2) - want2).max(initial=0.0) <= 1e-13
+    assert assemble_vector(mesh, vec).shape == (n,)
+    assert assemble_vector(mesh, vec2).shape == (n, 2)

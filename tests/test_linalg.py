@@ -1,31 +1,50 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from stokes_asgs import (SingularMatrixError, build_dofmap,
-                         build_unit_square_mesh, from_triplets)
+from stokes_asgs import (SingularMatrixError, SparseMatrix, build_dofmap,
+                         build_unit_square_mesh)
 from stokes_asgs.asgs_core import (ReducedFactor, StabilizationParams,
                                    TimeScheme, assemble_lhs)
+from stokes_asgs.fem_space import assemble_matrix
 from stokes_asgs.linalg import DIRECT_RESIDUAL_TOL, DirectFactor
+from stokes_asgs.mesh import Mesh
+
+# The triplets of an assembled matrix are the element entries (k, i, j):
+# row triangles[k, i], column triangles[k, j], value local[k, i, j].
 
 
 def test_duplicate_triplets_summed():
-    A = from_triplets(2, 2, ([0, 0], [0, 0], [1.0, 2.0]))
-    assert A.n_nonzeros == 1
-    assert A.to_dense()[0, 0] == 3.0
+    # nx=1: triangles [0, 1, 3] and [0, 3, 2] share the diagonal 0-3, so
+    # the pairs (0, 0), (0, 3), (3, 0) and (3, 3) each get two entries
+    mesh = build_unit_square_mesh(1)
+    local = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 2.0)])
+    A = SparseMatrix(assemble_matrix(mesh, local))
+    assert A.n_nonzeros == 14
+    dense = A.to_dense()
+    for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
+        assert dense[i, j] == 3.0
+    assert dense[0, 1] == 1.0 and dense[2, 3] == 2.0
+    assert dense[1, 2] == 0.0 and dense[2, 1] == 0.0
 
 
 def test_empty_triplets():
-    A = from_triplets(3, 4, ([], [], []))
+    full = build_unit_square_mesh(2)
+    mesh = Mesh(2, full.vertices, full.triangles[:0])
+    A = SparseMatrix(assemble_matrix(mesh, np.zeros((0, 3, 3))))
     assert A.n_nonzeros == 0
-    assert A.n_rows == 3 and A.n_cols == 4
+    assert A.n_rows == A.n_cols == full.n_vertices
     assert np.all(A.to_dense() == 0.0)
 
 
 def test_out_of_range_rejected():
+    # an element entry outside [0, n_vertices) never reaches the assembly:
+    # the mesh refuses it
+    vertices = build_unit_square_mesh(1).vertices
     with pytest.raises(ValueError):
-        from_triplets(2, 2, ([2], [0], [1.0]))
+        Mesh(1, vertices, np.array([[0, 1, 4]]))
     with pytest.raises(ValueError):
-        from_triplets(2, 2, ([0], [-1], [1.0]))
+        Mesh(1, vertices, np.array([[0, -1, 2]]))
 
 
 def test_csr_invariants_random():
@@ -33,7 +52,7 @@ def test_csr_invariants_random():
     rows = rng.integers(0, 50, 400)
     cols = rng.integers(0, 50, 400)
     vals = rng.standard_normal(400)
-    A = from_triplets(50, 50, (rows, cols, vals))
+    A = SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(50, 50)))
     csr = A.csr
     # sorted, unique column indices per row; monotone offsets
     for i in range(50):
@@ -50,13 +69,13 @@ def test_csr_invariants_random():
 
 
 def test_direct_identity():
-    I = from_triplets(3, 3, (np.arange(3), np.arange(3), np.ones(3)))
+    I = SparseMatrix(sp.csr_matrix(np.eye(3)))
     b = np.array([1.0, -2.0, 3.0])
     assert np.allclose(DirectFactor(I).solve(b), b)
 
 
 def test_direct_two_by_two():
-    A = from_triplets(2, 2, ([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0]))
+    A = SparseMatrix(sp.csr_matrix([[2.0, 1.0], [1.0, 3.0]]))
     x = DirectFactor(A).solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -77,6 +96,6 @@ def test_direct_on_assembled_system():
 
 
 def test_direct_singular_raises():
-    A = from_triplets(2, 2, ([0, 0, 1, 1], [0, 1, 0, 1], np.ones(4)))
+    A = SparseMatrix(sp.csr_matrix(np.ones((2, 2))))
     with pytest.raises(SingularMatrixError):
         DirectFactor(A)

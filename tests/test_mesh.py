@@ -69,9 +69,11 @@ def test_element_areas_nx10():
 
 
 def test_index_errors():
-    # a triangle that names a vertex past the end of the vertex array
-    with pytest.raises(IndexError):
-        Mesh(1, _UNIT_SQUARE, np.array([[0, 1, 4]]))
+    # a vertex index outside [0, n_vertices) is refused before any geometry
+    # is computed; a negative one would otherwise wrap to a real vertex
+    for bad in ([0, 1, 4], [0, 1, -2], [0, 1, -5]):
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            Mesh(1, _UNIT_SQUARE, np.array([[1, 3, 2], bad]))
 
 
 @pytest.mark.parametrize("triangle", [[0, 1, 1], [0, 2, 1]])
