@@ -39,12 +39,14 @@ reduced interior system (no Dirichlet rows, no multiplier, one pressure dof
 pinned) and recovers the multiplier exactly (see ``ReducedFactor``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import linalg
 from .fem_space import assemble_matrix, assemble_vector, quadrature_rule
@@ -504,43 +506,75 @@ def _mean_reflector(mean):
     return v / np.linalg.norm(v)
 
 
-def _project(S, v, k):
-    """Z^T S Z for symmetric S and Z = diag(I_k, H[:, 1:]), in O(n^2).
+def _project(S, v):
+    """H[:, 1:]^T S H[:, 1:] for symmetric S, in O(n^2): S is overwritten by
+    H S H = S - v u^T - u v^T for u = 2 (S v - (v^T S v) v)."""
+    u = 2.0 * (S @ v)
+    u -= (v @ u) * v
+    S -= np.outer(u, v)
+    S -= np.outer(v, u)
+    return S[1:, 1:]
 
-    With v padded by k zeros, S is overwritten by H S H = S - v u^T - u v^T
-    for u = 2 (S v - (v^T S v) v), and row and column k are dropped."""
-    u = 2.0 * (S[:, k:] @ v)
-    u[k:] -= (v @ u[k:]) * v
-    S[:, k:] -= np.outer(u, v)
-    S[k:, :] -= np.outer(v, u)
-    keep = np.delete(np.arange(S.shape[0]), k)
-    return S[np.ix_(keep, keep)]
+
+def _free_velocities(dofmap):
+    """Free velocity dofs, the two components interleaved per vertex, so a
+    velocity block has bandwidth 2*nx + 1 on the structured mesh."""
+    free = np.setdiff1d(np.arange(2 * dofmap.n_u), dofmap.dirichlet_dofs)
+    return free.reshape(2, -1).T.ravel()
+
+
+def _banded_cholesky(A):
+    """Banded Cholesky factor of the sparse ``A`` for ``cho_solve_banded``;
+    LinAlgError unless A is positive definite."""
+    upper = sp.triu(A, format="coo")
+    width = int((upper.col - upper.row).max(initial=0))
+    band = np.zeros((width + 1, A.shape[0]))
+    band[width + upper.row - upper.col, upper.col] = upper.data
+    return scipy.linalg.cholesky_banded(band, overwrite_ab=True), False
 
 
 def coercivity_operator(mesh, dofmap, params, dt):
-    """Projected symmetric part of the one-step backward-Euler operator.
+    """Blocks of the projected symmetric one-step backward-Euler operator.
 
-    Returns S = Z^T (A + A^T)/2 Z for the raw (unconstrained) operator A,
-    where Z spans the Dirichlet-free, zero-mean directions (``_project``);
-    only A's free velocity and pressure rows and columns are densified.
-    ``dt`` must equal ``params.dt_eff``.  Raises ValueError, before
-    assembling, when the dense arrays would exceed ``DENSE_BUDGET_BYTES``.
+    For the raw (unconstrained) operator A and S = (A + A^T)/2 returns
+    (S_u, S_p): S on the free velocities (``_free_velocities``), sparse,
+    and S on the zero-mean pressures (``_project``), dense.  The
+    velocity-pressure block of S vanishes, because at theta=1 the Galerkin
+    couplings -(p, div v) and (div u, q) cancel and so do the subscale
+    couplings -m (grad p, v) and tau1p/dt (u, grad q), as m = tau1p/dt when
+    ``dt`` = ``params.dt_eff`` (required).  Raises ValueError, before
+    assembling, when S_p would exceed ``DENSE_BUDGET_BYTES``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if abs(dt - params.dt_eff) > 1e-12 * dt:
         raise ValueError(f"dt {dt} differs from params.dt_eff {params.dt_eff}")
-    free = np.setdiff1d(np.arange(2 * dofmap.n_u + dofmap.n_p), dofmap.dirichlet_dofs)
-    _check_dense_budget("coercivity_operator", 2 * free.size ** 2)  # S and Z^T S Z
+    n_p = dofmap.n_p
+    _check_dense_budget("coercivity_operator", 2 * n_p ** 2)  # S_p and Z^T S_p Z
+    vel = _free_velocities(dofmap)
     scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
-    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).csr[free][:, free]
-    S = (0.5 * (A + A.T)).toarray()
-    return _project(S, _mean_reflector(dofmap.mean_vector), free.size - dofmap.n_p)
+    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).csr
+    S = 0.5 * (A + A.T)
+    S_p = S[-n_p:, -n_p:].toarray()
+    return S[vel][:, vel], _project(S_p, _mean_reflector(dofmap.mean_vector))
 
 
 def coercivity_check(mesh, dofmap, params, dt):
-    """Smallest Rayleigh quotient of the symmetrized stabilized operator."""
-    return float(scipy.linalg.eigvalsh(coercivity_operator(mesh, dofmap, params, dt)).min())
+    """Smallest eigenvalue of the projected symmetric one-step operator.
+
+    The smaller of the two ``coercivity_operator`` blocks' minima: the
+    velocity block's by shift-invert Lanczos about 0 (ARPACK, fixed start
+    vector) on its banded Cholesky factor, which proves the block positive
+    definite (else LinAlgError), so its eigenvalue nearest 0 is its least.
+    """
+    S_u, S_p = coercivity_operator(mesh, dofmap, params, dt)
+    lam = scipy.linalg.eigvalsh(S_p).min()
+    if S_u.shape[0]:  # empty at nx=1, where every velocity is Dirichlet
+        solve = functools.partial(scipy.linalg.cho_solve_banded, _banded_cholesky(S_u))
+        v0 = np.random.default_rng(0).standard_normal(S_u.shape[0])
+        lam = min(lam, spla.eigsh(S_u, 1, sigma=0.0, v0=v0, return_eigenvectors=False,
+                                  OPinv=spla.LinearOperator(S_u.shape, solve, dtype=float))[0])
+    return float(lam)
 
 
 def infsup_constant(mesh, dofmap, stabilized, params):
@@ -549,37 +583,33 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     beta_h is the square root of the smallest nonzero eigenvalue of
     S = B A^{-1} B^T (plus the pressure-Laplacian block when ``stabilized``)
     generalized against the pressure mass matrix, with A the velocity H1
-    operator (plus grad-div when ``stabilized``) on the Dirichlet-free
-    velocity subspace and pressures restricted to zero mean (``_project``).
-    S = W^T W for W = L^{-1} B^T with the Cholesky factor L of A, so a
-    non-SPD A raises LinAlgError.  Raises ValueError, before assembling,
-    when the dense arrays would exceed ``DENSE_BUDGET_BYTES``.  Diagnostic
-    only; near-zero modes of the unstabilized pair are filtered, not judged.
+    operator (plus grad-div when ``stabilized``) on the free velocity dofs
+    and pressures restricted to zero mean (``_project``).  A^{-1} B^T is
+    solved in place with one banded Cholesky factor of A (``_free_velocities``
+    order), so a non-SPD A raises LinAlgError.  Raises ValueError, before
+    assembling, when B^T and four n_p x n_p arrays would exceed
+    ``DENSE_BUDGET_BYTES``.  Diagnostic only; near-zero modes of the
+    unstabilized pair are filtered, not judged.
     """
-    n_u, n_p = dofmap.n_u, dofmap.n_p
-    free = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
-    # at most L, W and four n_p x n_p arrays
-    _check_dense_budget("infsup_constant", free.size * (free.size + n_p) + 4 * n_p ** 2)
+    n_p = dofmap.n_p
+    vel = _free_velocities(dofmap)
+    _check_dense_budget("infsup_constant", vel.size * n_p + 4 * n_p ** 2)
     a, g, mass, stiff, div = _element_tables(mesh)
     t2 = params.tau2 if stabilized else np.zeros_like(a)
     A = sp.bmat([[assemble_matrix(mesh, _grad_div(a, g, t2, c, cp)
                                   + (stiff + mass if c == cp else 0.0))
                   for cp in range(2)] for c in range(2)], format="csr")
-    B = sp.hstack([assemble_matrix(mesh, div[:, c]) for c in range(2)], format="csr")
+    B = sp.hstack([assemble_matrix(mesh, div[:, c]) for c in range(2)], format="csr")[:, vel]
     Mp = assemble_matrix(mesh, mass)
 
-    L = scipy.linalg.cholesky(A[free][:, free].toarray(order="F"), lower=True,
-                              overwrite_a=True)
-    W = scipy.linalg.solve_triangular(L, B[:, free].toarray().T, lower=True,
-                                      overwrite_b=True)
-    S = W.T @ W
-    del L, W
+    S = B @ scipy.linalg.cho_solve_banded(_banded_cholesky(A[vel][:, vel]),
+                                          B.toarray().T, overwrite_b=True)
     if stabilized:
         S += assemble_matrix(mesh, params.tau1p[:, None, None] * stiff).toarray()
 
     v = _mean_reflector(dofmap.mean_vector)
-    S = _project(S, v, 0)
-    eigs = scipy.linalg.eigh(S, _project(Mp.toarray(), v, 0), eigvals_only=True)
+    S = _project(S, v)
+    eigs = scipy.linalg.eigh(S, _project(Mp.toarray(), v), eigvals_only=True)
     cutoff = 1e-10 * max(eigs.max(), 1e-300)
     nonzero = eigs[eigs > cutoff]
     if nonzero.size == 0:
