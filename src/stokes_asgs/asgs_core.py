@@ -390,7 +390,8 @@ class ReducedFactor:
     its continuity rows sum to zero, so summing the continuity rows of
     K x = b gives lambda * sum(mean_vector) = the sum of the lifted
     continuity right-hand side.  With lambda known the pinned system has a
-    unique solution, whose pressure is then shifted to zero mean.
+    unique solution, whose pressure is then shifted to zero mean.  The LU
+    takes the kept dofs as (u1, u2, p) per vertex in ``elimination_order``.
     """
 
     def __init__(self, matrix, dofmap):
@@ -399,38 +400,47 @@ class ReducedFactor:
         self.mean = dofmap.mean_vector
         self.p_block = slice(2 * dofmap.n_u, dofmap.multiplier_index)
         self.multiplier = dofmap.multiplier_index
-        # interior rows/columns: free velocities, then every pressure
-        self.interior = np.setdiff1d(np.arange(dofmap.multiplier_index),
-                                     self.dirichlet)
-        self.pin = self.interior.size - dofmap.n_p
-        self.kept = np.delete(self.interior, self.pin)
+        dofs = (dofmap.elimination_order[:, None] + dofmap.n_u * np.arange(3)).ravel()
+        free = ~dofmap.dirichlet_mask()
+        free[self.p_block.start] = False  # the pinned pressure
+        self.kept = dofs[free[dofs]]
         csr = matrix.csr
-        self.lift = csr[self.interior][:, self.dirichlet]
+        self.lift = csr[:self.multiplier][:, self.dirichlet]
         self.factor = linalg.DirectFactor(
             linalg.SparseMatrix(csr[self.kept][:, self.kept]))
+
+    def _solve_once(self, rhs):
+        """K^{-1} rhs through one back-solve of the interior factor."""
+        x = np.zeros(rhs.shape)
+        x[self.dirichlet] = rhs[self.dirichlet]
+        b = rhs[:self.multiplier] - self.lift @ x[self.dirichlet]
+        cont = b[self.p_block]
+        lam = cont.sum() / self.mean.sum()
+        cont -= lam * self.mean
+        x[self.kept] = self.factor.solve(b[self.kept])
+        p = x[self.p_block]
+        p -= (self.mean @ p) / self.mean.sum()
+        x[self.multiplier] = lam
+        return x
 
     def solve(self, rhs):
         """Solution of K x = rhs, multiplier included.
 
-        Raises SingularMatrixError when the relative residual against the
-        full constrained K exceeds ``linalg.DIRECT_RESIDUAL_TOL``.
+        Refined once, by solving for the residual, only when the relative
+        residual against the full constrained K exceeds
+        ``linalg.DIRECT_RESIDUAL_TOL``; raises SingularMatrixError when the
+        refined solution still does.
         """
-        x = np.zeros(rhs.shape)
-        x[self.dirichlet] = rhs[self.dirichlet]
-        b = rhs[self.interior] - self.lift @ x[self.dirichlet]
-        cont = b[self.pin:]
-        lam = cont.sum() / self.mean.sum()
-        cont -= lam * self.mean
-        x[self.kept] = self.factor.solve(np.delete(b, self.pin))
-        p = x[self.p_block]
-        p -= (self.mean @ p) / self.mean.sum()
-        x[self.multiplier] = lam
-        res = np.linalg.norm(self.matrix.csr @ x - rhs) / (np.linalg.norm(rhs) or 1.0)
-        if not np.isfinite(res) or res > linalg.DIRECT_RESIDUAL_TOL:
-            raise linalg.SingularMatrixError(
-                f"direct solve residual {res:.3e} exceeds "
-                f"{linalg.DIRECT_RESIDUAL_TOL:.0e}")
-        return x
+        x, r = 0.0, rhs
+        for _ in range(2):
+            x = x + self._solve_once(r)
+            r = rhs - self.matrix.csr @ x
+            res = np.linalg.norm(r) / (np.linalg.norm(rhs) or 1.0)
+            if res <= linalg.DIRECT_RESIDUAL_TOL:  # False for nan too
+                return x
+        raise linalg.SingularMatrixError(
+            f"direct solve residual {res:.3e} exceeds "
+            f"{linalg.DIRECT_RESIDUAL_TOL:.0e}")
 
 
 def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None):

@@ -11,7 +11,8 @@ velocity components first (one scalar dof per vertex each), then pressure
 (one dof per vertex, equal order), then a single Lagrange multiplier that
 pins the pressure mean to zero.  This layout, with identity rows on the
 Dirichlet dofs, is that of the assembled system; the direct solver
-factorizes only its interior part and recovers the multiplier.
+factorizes only its interior part, vertex by vertex in the dofmap's
+nested-dissection order, and recovers the multiplier.
 """
 
 import math
@@ -131,12 +132,16 @@ class DofMap:
     mean_vector : ndarray, shape (n_p,)
         Integrals of the pressure basis functions; its entries sum to the
         domain area.
+    elimination_order : ndarray, shape (n_u,)
+        The vertices in the order the direct solver eliminates their dofs
+        (``nested_dissection``).
     """
 
     n_u: int
     n_p: int
     dirichlet_dofs: np.ndarray
     mean_vector: np.ndarray
+    elimination_order: np.ndarray
 
     @property
     def n_dofs(self):
@@ -161,9 +166,37 @@ def build_dofmap(mesh):
     mean_vector = assemble_vector(
         mesh, np.broadcast_to((mesh.areas / 3.0)[:, None], mesh.triangles.shape))
 
-    dirichlet.setflags(write=False)
-    mean_vector.setflags(write=False)
-    return DofMap(n_u=n, n_p=n, dirichlet_dofs=dirichlet, mean_vector=mean_vector)
+    order = nested_dissection(mesh.vertices)
+    for arr in (dirichlet, mean_vector, order):
+        arr.setflags(write=False)
+    return DofMap(n_u=n, n_p=n, dirichlet_dofs=dirichlet, mean_vector=mean_vector,
+                  elimination_order=order)
+
+
+def _bisection_digits(n, depth):
+    """(depth, n) side of each point 0..n-1 of a line at every level of its
+    recursive bisection: 0 left of the cut, 1 right, 2 the cut, 0 after it.
+    The bisection of n points has n.bit_length() levels."""
+    index, lo, hi, digits = np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, n), []
+    for _ in range(depth):  # a cut point leaves with lo = hi = its index + 1
+        mid = (lo + hi) // 2
+        digits.append(np.where(index == mid, 2, index > mid))
+        lo = np.where(index >= mid, mid + 1, lo)
+        hi = np.where(index < mid, mid, np.where(index == mid, mid + 1, hi))
+    return np.array(digits)
+
+
+def nested_dissection(vertices):
+    """Vertex order of a recursive bisection along grid lines (George 1973):
+    each axis is bisected at the middle of its sorted distinct coordinates,
+    the cuts alternate x, y, x, ..., and a part is ordered left, right, then
+    its cut line.  On a tensor grid every cut line separates its two parts;
+    other vertex sets still get a permutation."""
+    axes = [np.unique(coord, return_inverse=True) for coord in vertices.T]
+    depth = max(values.size for values, _ in axes).bit_length()
+    keys = np.stack([_bisection_digits(values.size, depth)[:, rank]
+                     for values, rank in axes], axis=1)  # x, y, x, ... per level
+    return np.lexsort(keys.reshape(2 * depth, -1)[::-1])
 
 
 def assemble_vector(mesh, local):

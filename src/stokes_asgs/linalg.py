@@ -4,14 +4,14 @@ Thin layer over scipy.sparse: canonical compressed-row storage of the
 matrices that ``fem_space.assemble_matrix`` sums and ``asgs_core`` joins,
 and a sparse LU with a singularity gate.  The time stepper hands the LU the
 reduced interior system, free of the Dirichlet identity rows and the dense
-mean-pressure multiplier row/column (``asgs_core.ReducedFactor``).  That
-system is structurally symmetric, so the LU orders it by minimum degree on
-the pattern of A^T + A and prefers diagonal pivots (SuperLU's symmetric
-mode, pivot threshold 0.1); each solve takes one step of iterative
-refinement, which restores the accuracy the relaxed threshold gives up.
-The saddle-point systems produced by the assembly are nonsymmetric, and the
-unstabilized equal-order variant may be genuinely rank deficient;
-``SingularMatrixError`` is therefore a meaningful outcome, not just a guard.
+mean-pressure multiplier row/column, with its dofs already in a
+nested-dissection order (``asgs_core.ReducedFactor``).  The LU keeps that
+order and prefers diagonal pivots (SuperLU's symmetric mode, pivot
+threshold 0.1); a solve is one back-solve, and the caller checks its
+residual.  The saddle-point systems produced by the assembly are
+nonsymmetric, and the unstabilized equal-order variant may be genuinely
+rank deficient; ``SingularMatrixError`` is therefore a meaningful outcome,
+not just a guard.
 """
 
 import numpy as np
@@ -52,17 +52,16 @@ class SparseMatrix:
 
 
 class DirectFactor:
-    """Reusable sparse LU factorization of a square SparseMatrix."""
+    """Reusable sparse LU of a square SparseMatrix, in the order given."""
 
     def __init__(self, A):
         if A.n_rows != A.n_cols:
             raise ValueError("matrix must be square")
-        self.csr = A.csr  # the refinement step's residual
         try:
-            # a relaxed threshold keeps the minimum-degree order's diagonal
-            # pivots; at the default 1.0 this order fills several times more
-            # than COLAMD (58.8M against 2.9M at nx=64)
-            self.lu = spla.splu(A.csr.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            # keep the caller's order and prefer its diagonal pivots; at the
+            # default threshold 1.0 the nested-dissection order of the nx=64
+            # step system fills 5.6M against 1.7M
+            self.lu = spla.splu(A.csr.tocsc(), permc_spec="NATURAL",
                                 diag_pivot_thresh=0.1,
                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular factor
@@ -73,8 +72,5 @@ class DirectFactor:
                 f"pivot ratio {udiag.min():.3e}/{udiag.max():.3e} below threshold")
 
     def solve(self, b):
-        """A^{-1} b, with one step of iterative refinement."""
-        b = np.asarray(b, dtype=float)
-        x = self.lu.solve(b)
-        x += self.lu.solve(b - self.csr @ x)
-        return x
+        """A^{-1} b by one back-solve."""
+        return self.lu.solve(np.asarray(b, dtype=float))

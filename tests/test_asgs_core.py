@@ -407,10 +407,40 @@ def test_direct_factor_fill_guard():
 
 @pytest.mark.parametrize("theta", [0, 1])
 def test_direct_factor_symmetric_ordering(theta):
-    # minimum degree on A^T + A fills the reduced system 5.40x nnz(K) at
-    # nx=40; COLAMD, which ignores its structural symmetry, fills 7.25x
+    # the nested-dissection order with diagonal pivots fills the reduced
+    # system 5.36x nnz(K) at nx=40; minimum degree on A^T + A filled 5.40x
+    # and COLAMD, which ignores its structural symmetry, 7.25x
     fill, nnz = _reduced_fill(40, theta)
     assert fill <= 6 * nnz
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_nested_dissection_fill(theta):
+    # about 1.70M at nx=64 for both schemes; minimum degree on A^T + A
+    # filled 1,853,730
+    fill, _ = _reduced_fill(64, theta)
+    assert fill <= 1_750_000
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 6), mu=st.floats(0.01, 10.0), c1=st.floats(1.0, 16.0),
+       c2=st.floats(0.1, 10.0), dt=st.floats(1e-3, 10.0), theta=st.sampled_from([0, 1]),
+       stabilized=st.booleans())
+def test_reduced_step_matrix_symmetric_after_scaling_continuity(nx, mu, c1, c2, dt,
+                                                                theta, stabilized):
+    # the symmetric-mode LU with diagonal pivots leans on this structure;
+    # the reduced matrix is taken as ReducedFactor selects it, without the
+    # factor, which the unstabilized pair may refuse
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff,
+                                          stabilized=stabilized)
+    pinned = np.append(dofmap.dirichlet_dofs, 2 * dofmap.n_u)
+    kept = np.setdiff1d(np.arange(dofmap.multiplier_index), pinned)
+    K = assemble_lhs(mesh, dofmap, scheme, params).csr[kept][:, kept].toarray()
+    S = np.where((kept >= 2 * dofmap.n_u)[:, None], -K / scheme.alpha, K)
+    assert np.abs(S - S.T).max() <= 1e-14 * np.abs(K).max()
 
 
 # nnz of the constrained and the raw step matrix: the vertex pairs that
@@ -434,7 +464,8 @@ def test_step_matrix_pattern_counts(nx):
             assert counts == _STEP_MATRIX_NNZ[nx]
             if nx == 40 and stabilized:
                 matrix = assemble_lhs(mesh, dofmap, scheme, params)
-                assert ReducedFactor(matrix, dofmap).factor.csr.nnz == 95366
+                factor = ReducedFactor(matrix, dofmap)
+                assert matrix.csr[factor.kept][:, factor.kept].nnz == 95366
 
 
 # ------------------------------------------------------------ subscales

@@ -193,3 +193,28 @@ def test_assembly_forms_equal_element_loop(nx, keep, zeros, seed):
     assert np.abs(assemble_vector(mesh, vec2) - want2).max(initial=0.0) <= 1e-13
     assert assemble_vector(mesh, vec).shape == (n,)
     assert assemble_vector(mesh, vec2).shape == (n, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_nested_dissection_ends_with_a_separating_grid_line(nx, seed):
+    mesh = build_unit_square_mesh(nx)
+    order = build_dofmap(mesh).elimination_order
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_vertices))
+    ij = np.rint(mesh.vertices * nx).astype(int)
+    line = ij[order[-(nx + 1):]]
+    axis = int(np.all(line[:, 1] == line[0, 1]))  # 0: a line of constant x
+    assert np.all(line[:, axis] == line[0, axis])
+    assert np.array_equal(np.sort(line[:, 1 - axis]), np.arange(nx + 1))
+    # -1 and +1 on the two parts the line leaves; no element joins them
+    side = np.sign(ij[:, axis] - line[0, axis])
+    corners = side[mesh.triangles]
+    assert not np.any((corners.min(axis=1) < 0) & (corners.max(axis=1) > 0))
+    # post-order: one part, then the other, then the line
+    position = np.argsort(order)
+    assert position[side < 0].max(initial=-1) < position[side > 0].min(initial=order.size)
+    # off the grid the order is still a permutation
+    jitter = np.random.default_rng(seed).uniform(-0.05 / nx, 0.05 / nx, mesh.vertices.shape)
+    moved = Mesh(nx, mesh.vertices + jitter * ~mesh.boundary_mask[:, None], mesh.triangles)
+    assert np.array_equal(np.sort(build_dofmap(moved).elimination_order),
+                          np.arange(mesh.n_vertices))

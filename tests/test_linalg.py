@@ -80,7 +80,9 @@ def test_direct_two_by_two():
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
 
-def test_direct_on_assembled_system():
+def _step_system():
+    """Reduced factor of an nx=4 backward-Euler step matrix and a right-hand
+    side."""
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
@@ -90,9 +92,55 @@ def test_direct_on_assembled_system():
     b = rng.standard_normal(dofmap.n_dofs)
     b[dofmap.dirichlet_dofs] = 0.0
     b[dofmap.multiplier_index] = 0.0
-    x = ReducedFactor(matrix, dofmap).solve(b)
-    res = np.linalg.norm(matrix.csr @ x - b) / np.linalg.norm(b)
-    assert res <= DIRECT_RESIDUAL_TOL
+    return ReducedFactor(matrix, dofmap), b
+
+
+def _residual(factor, x, b):
+    return np.linalg.norm(factor.matrix.csr @ x - b) / np.linalg.norm(b)
+
+
+def test_direct_on_assembled_system():
+    factor, b = _step_system()
+    assert _residual(factor, factor.solve(b), b) <= DIRECT_RESIDUAL_TOL
+
+
+def _perturb_backsolves(monkeypatch, factor, rel, count):
+    """Make the first ``count`` back-solves of the SuperLU factor under
+    ``factor`` return x scaled entrywise by 1 + rel * N(0, 1); returns the
+    list of back-solves made, True where perturbed."""
+    lu, rng, calls = factor.factor.lu, np.random.default_rng(2), []
+
+    class Perturbed:
+        def solve(self, b):
+            x = lu.solve(b)
+            calls.append(len(calls) < count)
+            return x * (1.0 + rel * rng.standard_normal(x.size)) if calls[-1] else x
+
+    monkeypatch.setattr(factor.factor, "lu", Perturbed())
+    return calls
+
+
+def test_direct_solve_refines_once_when_the_gate_fails(monkeypatch):
+    factor, b = _step_system()
+    calls = _perturb_backsolves(monkeypatch, factor, 1e-9, count=1)
+    x = factor.solve(b)
+    assert calls == [True, False]  # the perturbed solve failed the gate
+    assert _residual(factor, x, b) <= DIRECT_RESIDUAL_TOL
+
+
+def test_direct_solve_raises_when_refinement_fails(monkeypatch):
+    factor, b = _step_system()
+    calls = _perturb_backsolves(monkeypatch, factor, 1e-3, count=np.inf)
+    with pytest.raises(SingularMatrixError, match="residual"):
+        factor.solve(b)
+    assert calls == [True, True]
+
+
+def test_direct_solve_is_one_backsolve(monkeypatch):
+    factor, b = _step_system()
+    calls = _perturb_backsolves(monkeypatch, factor, 0.0, count=0)
+    factor.solve(b)
+    assert calls == [False]
 
 
 def test_direct_singular_raises():
