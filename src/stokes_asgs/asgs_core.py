@@ -39,12 +39,10 @@ reduced interior system (no Dirichlet rows, no multiplier, one pressure dof
 pinned) and recovers the multiplier exactly (see ``ReducedFactor``).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -378,6 +376,14 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     return SubscaleState((uprime_mid - (1 - alpha) * subscale_n.uprime) / alpha)
 
 
+def _free_dofs(dofmap):
+    """Velocity and pressure dofs off the Dirichlet boundary, as (u1, u2, p)
+    per vertex in ``dofmap.elimination_order``: the order in which every
+    sparse factor of the package is taken."""
+    dofs = (dofmap.elimination_order[:, None] + dofmap.n_u * np.arange(3)).ravel()
+    return dofs[~dofmap.dirichlet_mask()[dofs]]
+
+
 class ReducedFactor:
     """Direct solver of the constrained system through its interior system.
 
@@ -400,10 +406,8 @@ class ReducedFactor:
         self.mean = dofmap.mean_vector
         self.p_block = slice(2 * dofmap.n_u, dofmap.multiplier_index)
         self.multiplier = dofmap.multiplier_index
-        dofs = (dofmap.elimination_order[:, None] + dofmap.n_u * np.arange(3)).ravel()
-        free = ~dofmap.dirichlet_mask()
-        free[self.p_block.start] = False  # the pinned pressure
-        self.kept = dofs[free[dofs]]
+        free = _free_dofs(dofmap)
+        self.kept = free[free != self.p_block.start]  # the first pressure is pinned
         csr = matrix.csr
         self.lift = csr[:self.multiplier][:, self.dirichlet]
         self.factor = linalg.DirectFactor(
@@ -498,130 +502,91 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     return state
 
 
-# Largest total size of the dense arrays one diagnostic may hold at once.
-DENSE_BUDGET_BYTES = 2 ** 30
+# beta_h^2 is a ratio of the H1 velocity and L2 pressure Gram forms, at most
+# 2 for the Galerkin pair, so an inf-sup eigenvalue within this of 0 is a
+# zero mode: the constant, plus 7 spurious modes when unstabilized.
+INFSUP_ZERO_TOL = 1e-10
+INFSUP_K = 10  # more than those 8 zero modes
 
 
-def _check_dense_budget(name, n_doubles):
-    if 8 * n_doubles > DENSE_BUDGET_BYTES:
-        raise ValueError(f"{name} needs {8 * n_doubles} bytes of dense arrays, "
-                         f"above the budget of {DENSE_BUDGET_BYTES} bytes")
+def _nearest_eigenvalues(K, M, sigma, k, n_negative):
+    """The k eigenvalues nearest ``sigma`` of K x = lam M x, K symmetric and
+    M block-diagonal positive semi-definite, by shift-invert Lanczos (ARPACK,
+    fixed start vector) with k and the basis kept within rank(M).
+
+    K - sigma M is factored once by LU with diagonal pivots in the caller's
+    order, an LDL^T factor whose diag(U) holds the inertia; LinAlgError
+    unless the pivots stayed diagonal and ``n_negative`` are negative.
+    """
+    lu = spla.splu((K - sigma * M).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    negative = np.count_nonzero(lu.U.diagonal() < 0.0)
+    if not np.array_equal(lu.perm_r, lu.perm_c) or negative != n_negative:
+        raise np.linalg.LinAlgError(
+            f"shifted pencil has {negative} negative pivots, expected {n_negative}")
+    rank = np.count_nonzero(M.diagonal())
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    return spla.eigsh(K, min(k, rank - 1), M=M, sigma=sigma, v0=v0,
+                      ncv=min(rank, max(2 * k + 1, 20)), return_eigenvectors=False,
+                      OPinv=spla.LinearOperator(K.shape, lu.solve, dtype=float))
 
 
-def _mean_reflector(mean):
-    """Unit v: H = I - 2 v v^T maps the positive ``mean`` onto a multiple
-    of e_0, so H[:, 1:] is an orthonormal basis of the zero-mean subspace."""
-    v = np.array(mean, dtype=float)
-    v[0] += np.linalg.norm(v)  # no cancellation: every entry is positive
-    return v / np.linalg.norm(v)
+def coercivity_check(mesh, dofmap, params, dt):
+    """Least x^T S x / x^T x over the free velocities and zero-mean pressures.
 
-
-def _project(S, v):
-    """H[:, 1:]^T S H[:, 1:] for symmetric S, in O(n^2): S is overwritten by
-    H S H = S - v u^T - u v^T for u = 2 (S v - (v^T S v) v)."""
-    u = 2.0 * (S @ v)
-    u -= (v @ u) * v
-    S -= np.outer(u, v)
-    S -= np.outer(v, u)
-    return S[1:, 1:]
-
-
-def _free_velocities(dofmap):
-    """Free velocity dofs, the two components interleaved per vertex, so a
-    velocity block has bandwidth 2*nx + 1 on the structured mesh."""
-    free = np.setdiff1d(np.arange(2 * dofmap.n_u), dofmap.dirichlet_dofs)
-    return free.reshape(2, -1).T.ravel()
-
-
-def _banded_cholesky(A):
-    """Banded Cholesky factor of the sparse ``A`` for ``cho_solve_banded``;
-    LinAlgError unless A is positive definite."""
-    upper = sp.triu(A, format="coo")
-    width = int((upper.col - upper.row).max(initial=0))
-    band = np.zeros((width + 1, A.shape[0]))
-    band[width + upper.row - upper.col, upper.col] = upper.data
-    return scipy.linalg.cholesky_banded(band, overwrite_ab=True), False
-
-
-def coercivity_operator(mesh, dofmap, params, dt):
-    """Blocks of the projected symmetric one-step backward-Euler operator.
-
-    For the raw (unconstrained) operator A and S = (A + A^T)/2 returns
-    (S_u, S_p): S on the free velocities (``_free_velocities``), sparse,
-    and S on the zero-mean pressures (``_project``), dense.  The
-    velocity-pressure block of S vanishes, because at theta=1 the Galerkin
-    couplings -(p, div v) and (div u, q) cancel and so do the subscale
-    couplings -m (grad p, v) and tau1p/dt (u, grad q), as m = tau1p/dt when
-    ``dt`` = ``params.dt_eff`` (required).  Raises ValueError, before
-    assembling, when S_p would exceed ``DENSE_BUDGET_BYTES``.
+    S = (A + A^T)/2 for the raw backward-Euler operator A at ``dt``, which
+    must equal ``params.dt_eff``.  That is the least eigenvalue of the
+    pencil [[S, m], [m^T, 0]] x = lam diag(I, 0) x on the ``_free_dofs``,
+    bordered last by the mean vector m.  Shifted by sigma < 0 it has one
+    negative pivot unless S has an admissible eigenvalue below sigma
+    (LinAlgError).  ValueError, before assembling, when
+    ``linalg.check_factor_budget`` refuses the pencil.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if abs(dt - params.dt_eff) > 1e-12 * dt:
         raise ValueError(f"dt {dt} differs from params.dt_eff {params.dt_eff}")
-    n_p = dofmap.n_p
-    _check_dense_budget("coercivity_operator", 2 * n_p ** 2)  # S_p and Z^T S_p Z
-    vel = _free_velocities(dofmap)
-    scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
-    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).csr
-    S = 0.5 * (A + A.T)
-    S_p = S[-n_p:, -n_p:].toarray()
-    return S[vel][:, vel], _project(S_p, _mean_reflector(dofmap.mean_vector))
-
-
-def coercivity_check(mesh, dofmap, params, dt):
-    """Smallest eigenvalue of the projected symmetric one-step operator.
-
-    The smaller of the two ``coercivity_operator`` blocks' minima: the
-    velocity block's by shift-invert Lanczos about 0 (ARPACK, fixed start
-    vector) on its banded Cholesky factor, which proves the block positive
-    definite (else LinAlgError), so its eigenvalue nearest 0 is its least.
-    """
-    S_u, S_p = coercivity_operator(mesh, dofmap, params, dt)
-    lam = scipy.linalg.eigvalsh(S_p).min()
-    if S_u.shape[0]:  # empty at nx=1, where every velocity is Dirichlet
-        solve = functools.partial(scipy.linalg.cho_solve_banded, _banded_cholesky(S_u))
-        v0 = np.random.default_rng(0).standard_normal(S_u.shape[0])
-        lam = min(lam, spla.eigsh(S_u, 1, sigma=0.0, v0=v0, return_eigenvectors=False,
-                                  OPinv=spla.LinearOperator(S_u.shape, solve, dtype=float))[0])
-    return float(lam)
+    dofs = _free_dofs(dofmap)
+    linalg.check_factor_budget(dofs.size + 1)
+    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params,
+                     constrained=False).csr
+    mean = np.concatenate([np.zeros(2 * dofmap.n_u), dofmap.mean_vector])
+    border = sp.csr_matrix(mean[dofs][:, None])
+    K = sp.bmat([[(0.5 * (A + A.T))[dofs][:, dofs], border], [border.T, None]])
+    M = sp.diags(np.append(np.ones(dofs.size), 0.0))
+    return float(_nearest_eigenvalues(K, M, -1e-6, 1, 1)[0])
 
 
 def infsup_constant(mesh, dofmap, stabilized, params):
-    """Discrete inf-sup constant via the pressure Schur complement.
+    """Discrete inf-sup constant beta_h.
 
-    beta_h is the square root of the smallest nonzero eigenvalue of
-    S = B A^{-1} B^T (plus the pressure-Laplacian block when ``stabilized``)
-    generalized against the pressure mass matrix, with A the velocity H1
-    operator (plus grad-div when ``stabilized``) on the free velocity dofs
-    and pressures restricted to zero mean (``_project``).  A^{-1} B^T is
-    solved in place with one banded Cholesky factor of A (``_free_velocities``
-    order), so a non-SPD A raises LinAlgError.  Raises ValueError, before
-    assembling, when B^T and four n_p x n_p arrays would exceed
-    ``DENSE_BUDGET_BYTES``.  Diagnostic only; near-zero modes of the
-    unstabilized pair are filtered, not judged.
+    beta_h^2 is the least nonzero eigenvalue of (B A^{-1} B^T + C) p =
+    mu M_p p: A the velocity H1 operator (plus grad-div when ``stabilized``)
+    on the free velocities, B the divergence, C the pressure-Laplacian block
+    when ``stabilized`` (else 0), M_p the pressure mass matrix.  So it is
+    -lam of the pencil [[A, B^T], [B, -C]] x = lam diag(0, M_p) x on the
+    ``_free_dofs``; shifted by sigma > 0 that is quasi-definite with n_p
+    negative pivots (else LinAlgError), and its eigenvalues nearest sigma
+    are the zero modes, then -beta_h^2.  LinAlgError when all k found are
+    zero modes; ValueError, before assembling, when
+    ``linalg.check_factor_budget`` refuses the pencil.
     """
-    n_p = dofmap.n_p
-    vel = _free_velocities(dofmap)
-    _check_dense_budget("infsup_constant", vel.size * n_p + 4 * n_p ** 2)
+    dofs = _free_dofs(dofmap)
+    linalg.check_factor_budget(dofs.size)
     a, g, mass, stiff, div = _element_tables(mesh)
     t2 = params.tau2 if stabilized else np.zeros_like(a)
-    A = sp.bmat([[assemble_matrix(mesh, _grad_div(a, g, t2, c, cp)
+    t1p = params.tau1p if stabilized else np.zeros_like(a)
+    B = [assemble_matrix(mesh, div[:, c]) for c in range(2)]
+    K = sp.bmat([[assemble_matrix(mesh, _grad_div(a, g, t2, c, cp)
                                   + (stiff + mass if c == cp else 0.0))
-                  for cp in range(2)] for c in range(2)], format="csr")
-    B = sp.hstack([assemble_matrix(mesh, div[:, c]) for c in range(2)], format="csr")[:, vel]
-    Mp = assemble_matrix(mesh, mass)
-
-    S = B @ scipy.linalg.cho_solve_banded(_banded_cholesky(A[vel][:, vel]),
-                                          B.toarray().T, overwrite_b=True)
-    if stabilized:
-        S += assemble_matrix(mesh, params.tau1p[:, None, None] * stiff).toarray()
-
-    v = _mean_reflector(dofmap.mean_vector)
-    S = _project(S, v)
-    eigs = scipy.linalg.eigh(S, _project(Mp.toarray(), v), eigvals_only=True)
-    cutoff = 1e-10 * max(eigs.max(), 1e-300)
-    nonzero = eigs[eigs > cutoff]
+                  for cp in range(2)] + [B[c].T] for c in range(2)]
+                + [B + [assemble_matrix(mesh, -t1p[:, None, None] * stiff)]], format="csr")
+    M = sp.block_diag([sp.csr_matrix((2 * dofmap.n_u,) * 2),
+                       assemble_matrix(mesh, mass)], format="csr")
+    # a shift below 0 would mix the zero cluster with -beta_h^2
+    eigs = _nearest_eigenvalues(K[dofs][:, dofs], M[dofs][:, dofs], 1e-6, INFSUP_K,
+                                dofmap.n_p)
+    nonzero = eigs[eigs < -INFSUP_ZERO_TOL]
     if nonzero.size == 0:
-        return 0.0
-    return float(np.sqrt(nonzero.min()))
+        raise np.linalg.LinAlgError(f"all {eigs.size} eigenvalues found are zero modes")
+    return float(np.sqrt(-nonzero.max()))

@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_asgs import build_dofmap, build_unit_square_mesh, interpolate
-from stokes_asgs import asgs_core
+from stokes_asgs import asgs_core, linalg
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    ReducedFactor, StepFailureError,
                                    SubscaleState, TimeScheme, _element_tables,
-                                   _mean_reflector, _project, _taus,
-                                   assemble_lhs, assemble_rhs,
-                                   coercivity_check, coercivity_operator,
-                                   infsup_constant, solve_transient, step,
-                                   update_subscales)
+                                   _taus, assemble_lhs, assemble_rhs,
+                                   coercivity_check, infsup_constant,
+                                   solve_transient, step, update_subscales)
 from stokes_asgs.fem_space import quadrature_rule
 from stokes_asgs.manufactured import exact_velocity, forcing
 
@@ -307,6 +305,37 @@ def test_step_failure_carries_index():
     assert info.value.step == 1
 
 
+def test_step_factor_refused_over_budget(monkeypatch):
+    # the size is refused from the predicted fill, before SuperLU runs
+    mesh = build_unit_square_mesh(8)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=1, dt=0.1, n_steps=3)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    rows = 2 * 7 ** 2 + 9 ** 2 - 1  # one pressure is pinned
+    need = linalg.FACTOR_ENTRY_BYTES * linalg.predicted_fill(rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored over the budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg.spla, "splu", refuse)
+        patch.setattr(linalg, "FACTOR_BUDGET_BYTES", need - 1)
+        with pytest.raises(ValueError) as info:
+            solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
+                            _initial_state(mesh))
+    assert f"budget of {need - 1} bytes" in str(info.value)
+    assert str(need) in str(info.value)
+    # the unstabilized systems still fail in the factorization itself
+    for nx in (10, 20):
+        mesh = build_unit_square_mesh(nx)
+        dofmap = build_dofmap(mesh)
+        loose = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
+                                             stabilized=False)
+        with pytest.raises(StepFailureError, match="Factor is exactly singular"):
+            solve_transient(mesh, dofmap, scheme, loose, _forcing_fn(),
+                            _initial_state(mesh))
+
+
 def test_determinism_bitwise():
     mesh = build_unit_square_mesh(5)
     dofmap = build_dofmap(mesh)
@@ -323,16 +352,18 @@ def test_determinism_bitwise():
 
 def test_coercivity_check_determinism_bitwise():
     # ARPACK starts from a fixed vector, not a random one; at this small
-    # viscosity the velocity block, which ARPACK handles, holds the minimum
+    # viscosity the velocity modes hold the minimum
     import scipy.linalg
     mesh = build_unit_square_mesh(16)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, 1e-3, C1, C2, dt_eff=1.0)
     values = {coercivity_check(mesh, dofmap, params, dt=1.0) for _ in range(5)}
     assert len(values) == 1
-    S_u, S_p = coercivity_operator(mesh, dofmap, params, dt=1.0)
+    S = _coercivity_null_space_reference(mesh, dofmap, params, dt=1.0)
+    n_free = 2 * 15 ** 2
+    S_u, S_p = S[:n_free, :n_free], S[n_free:, n_free:]
     lam = values.pop()
-    assert lam == pytest.approx(scipy.linalg.eigvalsh(S_u.toarray()).min(), rel=1e-10)
+    assert lam == pytest.approx(scipy.linalg.eigvalsh(S_u).min(), rel=1e-10)
     assert lam < scipy.linalg.eigvalsh(S_p).min()
 
 
@@ -420,6 +451,36 @@ def test_nested_dissection_fill(theta):
     # filled 1,853,730
     fill, _ = _reduced_fill(64, theta)
     assert fill <= 1_750_000
+
+
+def test_predicted_fill_bounds_the_factors(monkeypatch):
+    # the budget's prediction bounds every factor and is not loose
+    for nx in (40, 64):
+        fill, _ = _reduced_fill(nx, 1)
+        predicted = linalg.predicted_fill(2 * (nx - 1) ** 2 + (nx + 1) ** 2 - 1)
+        assert fill <= predicted <= 1.5 * fill
+    splu, pencils = asgs_core.spla.splu, []
+
+    def recorded(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        pencils.append((lu.shape[0], lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(asgs_core.spla, "splu", recorded)
+    mesh = build_unit_square_mesh(32)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
+    coercivity_check(mesh, dofmap, params, dt=0.1)
+    infsup_constant(mesh, dofmap, True, params)
+    infsup_constant(mesh, dofmap, False, params)
+    (coercivity_rows, coercivity_fill), *infsup = pencils
+    assert coercivity_rows == 2 * 31 ** 2 + 33 ** 2 + 1
+    # the velocity-pressure coupling of the symmetric operator cancels, so
+    # the coercivity pencil fills about half as much as the others
+    assert coercivity_fill <= linalg.predicted_fill(coercivity_rows) <= 2.0 * coercivity_fill
+    for rows, fill in infsup:
+        assert rows == 2 * 31 ** 2 + 33 ** 2
+        assert fill <= linalg.predicted_fill(rows) <= 1.5 * fill
 
 
 @settings(max_examples=25, deadline=None)
@@ -563,7 +624,7 @@ def test_coercivity_rayleigh_quotients_bound_eigenvalue():
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
-    S = _coercivity_dense(mesh, dofmap, params, dt=0.1)
+    S = _coercivity_null_space_reference(mesh, dofmap, params, dt=0.1)
     lam = coercivity_check(mesh, dofmap, params, dt=0.1)
     rng = np.random.default_rng(13)
     quotients = []
@@ -582,7 +643,7 @@ def test_coercivity_homogeneity():
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
-    S = _coercivity_dense(mesh, dofmap, params, dt=0.1)
+    S = _coercivity_null_space_reference(mesh, dofmap, params, dt=0.1)
     import scipy.linalg
     lam = scipy.linalg.eigvalsh(S).min()
     lam2 = scipy.linalg.eigvalsh(2.0 * S).min()
@@ -603,14 +664,13 @@ def test_coercivity_rejects_mismatched_dt():
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
     with pytest.raises(ValueError, match="dt_eff"):
-        coercivity_operator(mesh, dofmap, params, dt=0.2)
-    coercivity_operator(mesh, dofmap, params, dt=0.1 * (1 + 1e-14))
+        coercivity_check(mesh, dofmap, params, dt=0.2)
+    coercivity_check(mesh, dofmap, params, dt=0.1 * (1 + 1e-14))
 
 
-def test_dense_diagnostics_refuse_large_meshes(monkeypatch):
-    # at nx=100 the dense pressure blocks of the coercivity operator are
-    # 2 * 10201^2 doubles (1.7 GB); the guard must refuse before anything
-    # is assembled
+def test_diagnostics_refuse_over_factor_budget(monkeypatch):
+    # both pencils are refused from the predicted size of their factor,
+    # before anything is assembled
     mesh = build_unit_square_mesh(100)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
@@ -620,21 +680,21 @@ def test_dense_diagnostics_refuse_large_meshes(monkeypatch):
 
     monkeypatch.setattr(asgs_core, "assemble_lhs", refuse)
     monkeypatch.setattr(asgs_core, "assemble_matrix", refuse)
-    budget = str(asgs_core.DENSE_BUDGET_BYTES)
-    n_free, n_p = 2 * 99 ** 2, 101 ** 2
-    with pytest.raises(ValueError) as info:
-        coercivity_check(mesh, dofmap, params, dt=0.1)
-    assert budget in str(info.value)
-    assert str(16 * n_p ** 2) in str(info.value)
-    with pytest.raises(ValueError) as info:
-        infsup_constant(mesh, dofmap, True, params)
-    assert budget in str(info.value)
-    assert str(8 * (n_free * n_p + 4 * n_p ** 2)) in str(info.value)
+    monkeypatch.setattr(linalg, "FACTOR_BUDGET_BYTES", 10 ** 7)
+    n_free = 2 * 99 ** 2 + 101 ** 2  # free velocities and all pressures
+    for diagnostic, rows in ((lambda: coercivity_check(mesh, dofmap, params, dt=0.1),
+                              n_free + 1),  # bordered by the mean vector
+                             (lambda: infsup_constant(mesh, dofmap, True, params),
+                              n_free)):
+        with pytest.raises(ValueError) as info:
+            diagnostic()
+        assert "budget of 10000000 bytes" in str(info.value)
+        assert str(linalg.FACTOR_ENTRY_BYTES * linalg.predicted_fill(rows)) in str(info.value)
 
 
 def _coercivity_null_space_reference(mesh, dofmap, params, dt):
     """Reference S: the whole raw operator densified and projected on an
-    SVD basis of the admissible directions."""
+    SVD basis of the admissible directions, free velocities first."""
     import scipy.linalg
     n_u, n_p = dofmap.n_u, dofmap.n_p
     scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
@@ -647,38 +707,15 @@ def _coercivity_null_space_reference(mesh, dofmap, params, dt):
     return Z.T @ (0.5 * (A + A.T)) @ Z
 
 
-def _coercivity_dense(mesh, dofmap, params, dt):
-    """The two blocks of ``coercivity_operator`` as one dense matrix."""
-    import scipy.linalg
-    S_u, S_p = coercivity_operator(mesh, dofmap, params, dt)
-    return scipy.linalg.block_diag(S_u.toarray(), S_p)
-
-
-def _assert_coercivity_matches_reference(mesh, dofmap, params, dt):
-    """The cancelled velocity-pressure coupling and the spectrum of the two
-    blocks, against the null-space reference; returns its eigenvalues."""
-    import scipy.linalg
-    n_u = dofmap.n_u
-    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params,
-                     constrained=False).to_dense()
-    S = 0.5 * (A + A.T)
-    free_vel = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
-    assert np.abs(S[np.ix_(free_vel, np.arange(2 * n_u, S.shape[0]))]).max(
-        initial=0.0) <= 1e-14 * np.abs(S).max()
-    got = scipy.linalg.eigvalsh(_coercivity_dense(mesh, dofmap, params, dt))
-    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params, dt))
-    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-    return ref
-
-
 @pytest.mark.parametrize("nx", [1, 2, 3, 6])
 @pytest.mark.parametrize("stabilized, dt", [(True, 0.1), (False, 10.0)])
 def test_coercivity_matches_null_space_reference(nx, stabilized, dt):
+    import scipy.linalg
     mesh = build_unit_square_mesh(nx)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=dt,
                                           stabilized=stabilized)
-    ref = _assert_coercivity_matches_reference(mesh, dofmap, params, dt)
+    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params, dt))
     assert coercivity_check(mesh, dofmap, params, dt) == pytest.approx(
         ref.min(), abs=1e-10 * np.abs(ref).max())
 
@@ -688,28 +725,22 @@ def test_coercivity_matches_null_space_reference(nx, stabilized, dt):
        c2=st.floats(0.1, 10.0), dt=st.floats(1e-3, 10.0), stabilized=st.booleans())
 def test_coercivity_blocks_split_the_symmetric_operator(nx, mu, c1, c2, dt, stabilized):
     # at theta=1 and dt = dt_eff the velocity-pressure block of the
-    # symmetric part cancels, so the two blocks carry the whole spectrum
+    # symmetric part cancels; the pencil's least eigenvalue is the
+    # reference's over every admissible direction
+    import scipy.linalg
     mesh = build_unit_square_mesh(nx)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, dt_eff=dt,
                                           stabilized=stabilized)
-    _assert_coercivity_matches_reference(mesh, dofmap, params, dt)
-
-
-_mean_vectors = st.one_of(
-    st.integers(2, 8).map(
-        lambda nx: build_dofmap(build_unit_square_mesh(nx)).mean_vector),
-    st.lists(st.floats(1e-8, 1e8), min_size=2, max_size=80).map(np.array))
-
-
-@settings(max_examples=60, deadline=None)
-@given(mean=_mean_vectors)
-def test_mean_reflector_spans_zero_mean_subspace(mean):
-    n = mean.size
-    v = _mean_reflector(mean)
-    assert np.abs(_project(np.eye(n), v) - np.eye(n - 1)).max() <= 1e-14
-    H = np.eye(n) - 2.0 * np.outer(v, v)
-    assert np.abs(mean @ H[:, 1:]).max() <= 1e-14 * np.linalg.norm(mean)
+    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params,
+                     constrained=False).to_dense()
+    S = 0.5 * (A + A.T)
+    free_vel = np.setdiff1d(np.arange(2 * dofmap.n_u), dofmap.dirichlet_dofs)
+    assert np.abs(S[np.ix_(free_vel, np.arange(2 * dofmap.n_u, S.shape[0]))]).max(
+        initial=0.0) <= 1e-14 * np.abs(S).max()
+    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params, dt))
+    assert coercivity_check(mesh, dofmap, params, dt) == pytest.approx(
+        ref.min(), abs=1e-10 * np.abs(ref).max())
 
 
 def test_coercivity_rejects_indefinite_velocity_block():
@@ -791,9 +822,28 @@ def test_infsup_stabilized_does_not_collapse():
         assert cur / prev >= 0.5
 
 
+def test_infsup_unstabilized_pencil_has_eight_zero_modes(monkeypatch):
+    # the constant and 7 spurious pressure modes: k must exceed 8 for the
+    # eigenvalues nearest the shift to reach -beta_h^2
+    nearest, found = asgs_core._nearest_eigenvalues, []
+
+    def recorded(*args):
+        found.append(nearest(*args))
+        return found[-1]
+
+    monkeypatch.setattr(asgs_core, "_nearest_eigenvalues", recorded)
+    mesh = build_unit_square_mesh(16)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
+    infsup_constant(mesh, dofmap, False, params)
+    (eigs,) = found
+    assert eigs.size == asgs_core.INFSUP_K > 8
+    assert np.count_nonzero(np.abs(eigs) <= asgs_core.INFSUP_ZERO_TOL) == 8
+
+
 def test_infsup_excludes_constant_pressure():
     # the reported value corresponds to a zero-mean mode, never the
-    # constant-pressure direction (which the mean constraint removes)
+    # constant-pressure direction (a zero mode, which the cutoff skips)
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
