@@ -164,14 +164,15 @@ class FieldState:
 
 @dataclass
 class SubscaleState:
-    """Subscale velocity at every assembly quadrature point, shape (m, nq, 2)."""
+    """Subscale velocity at every assembly quadrature point, shape (m, nq, 2);
+    the solver's states are views of (2, m, nq) arrays, contiguous per component."""
 
     uprime: np.ndarray
 
     @classmethod
-    def zeros(cls, mesh, rule=None):
-        nq = len((rule or quadrature_rule(ASSEMBLY_QUAD_DEGREE)).weights)
-        return cls(np.zeros((mesh.n_triangles, nq, 2)))
+    def zeros(cls, mesh):
+        nq = len(quadrature_rule(ASSEMBLY_QUAD_DEGREE).weights)
+        return cls(np.moveaxis(np.zeros((2, mesh.n_triangles, nq)), 0, -1))
 
 
 class StepFailureError(Exception):
@@ -207,19 +208,6 @@ def _element_tables(mesh):
 def _grad_div(a, g, weight, c, cp):
     """weight * int(dl_i/dx_c * dl_j/dx_cp) on every element, (m, 3, 3)."""
     return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
-
-
-def _p1_actions(mesh, u_loc):
-    """Closed forms of the ``_element_tables`` products with u_loc (m, 3, d).
-
-    Returns mass a/12 (u_i + sum_j u_j), stiffness a g (g^T u) and
-    grad = g^T u, that is grad[k, e, d] = du_d/dx_e.
-    """
-    a = mesh.areas[:, None, None]
-    g = mesh.shape_gradients
-    grad = np.matmul(g.transpose(0, 2, 1), u_loc)
-    mass = a / 12.0 * (u_loc + (u_loc[:, 0] + u_loc[:, 1] + u_loc[:, 2])[:, None])
-    return mass, a * (g @ grad), grad
 
 
 def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
@@ -272,23 +260,35 @@ def _forcing_at(forcing, pts, t):
 
 
 class LevelForcing:
-    """A forcing at the assembly points, evaluated once per time level.
+    """A forcing at the assembly points, as contiguous components (2, m, nq).
 
-    ``assemble_rhs`` and ``update_subscales`` read the same levels, and under
-    Crank-Nicolson a step's t_{n+1} is the next step's t_n.  A time loop only
-    moves forward, so a new level replaces every kept level but the latest.
-    The values are ``forcing(x, y, t)`` itself, never a rescaled copy.
+    A separable forcing declares a ``time_factor(t)`` with forcing(x, y, t)
+    = time_factor(t) * forcing(x, y, 0).  It is evaluated once per mesh, as
+    F0 on ``Mesh.table`` under the forcing itself (so it must be hashable),
+    and a level is the rescaled copy time_factor(t)*F0.
+    Any other forcing is evaluated once per time level: ``assemble_rhs`` and
+    ``update_subscales`` read the same levels, and under Crank-Nicolson a
+    step's t_{n+1} is the next step's t_n.  A time loop only moves forward,
+    so a new level replaces every kept level but the latest.
     """
 
     def __init__(self, forcing, mesh):
         self.forcing = forcing
         self.pts = mesh.quad_points(quadrature_rule(ASSEMBLY_QUAD_DEGREE))
+        self.time_factor = getattr(forcing, "time_factor", None)
+        self.f0 = None if self.time_factor is None else mesh.table(
+            ("forcing", forcing), lambda _: self._pointwise(0.0))
         self._levels = {}
 
+    def _pointwise(self, t):
+        return np.ascontiguousarray(np.moveaxis(_forcing_at(self.forcing, self.pts, t), -1, 0))
+
     def __call__(self, t):
+        if self.f0 is not None:
+            return self.time_factor(t) * self.f0
         values = self._levels.get(t)
         if values is None:
-            values = _forcing_at(self.forcing, self.pts, t)
+            values = self._pointwise(t)
             if self._levels:
                 latest = max(self._levels)
                 self._levels = {latest: self._levels[latest]}
@@ -301,60 +301,63 @@ def _levels(forcing, mesh):
 
 
 def _theta_forcing(at, t_old, t_new, alpha):
-    """alpha*f(t_new) + (1-alpha)*f(t_old) from the per-level values ``at(t)``."""
+    """alpha*f(t_new) + (1-alpha)*f(t_old) from the per-level values ``at(t)``,
+    in one pass over F0 when ``at`` is a separable ``LevelForcing``."""
+    if isinstance(at, LevelForcing) and at.f0 is not None:
+        c = at.time_factor
+        return (alpha * c(t_new) + (1 - alpha) * c(t_old)) * at.f0
     if alpha == 1:  # backward Euler gives t_old no weight
         return at(t_new)
     return alpha * at(t_new) + (1 - alpha) * at(t_old)
 
 
+def _gradient(values, g):
+    """(d/dx, d/dy) of a P1 field on every element, each (m,), from its
+    element values (m, 3) and the shape gradients ``g`` (m, 3, 2)."""
+    return [values[:, 0] * g[:, 0, e] + values[:, 1] * g[:, 1, e] + values[:, 2] * g[:, 2, e]
+            for e in range(2)]
+
+
 def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     """Right-hand side for the step starting from ``state_n``.
 
-    ``forcing`` is forcing(x, y, t) or a ``LevelForcing`` of it.
+    ``forcing`` is forcing(x, y, t) or a ``LevelForcing`` of it.  Each
+    velocity component is worked on as a contiguous (m, 3) array of element
+    values and an (m, nq) array at the assembly points.
     """
-    tri = mesh.triangles
-    a, g = mesh.areas, mesh.shape_gradients
+    tri, a, g = mesh.triangles, mesh.areas, mesh.shape_gradients
     alpha, dt, dt_eff = scheme.alpha, scheme.dt, scheme.dt_eff
-    w_w, t1p, t2 = params.w_weights, params.tau1p, params.tau2
-
+    w_a, t1p, t2 = params.w_weights * a, params.tau1p, params.tau2
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
-    wq = rule.weights
+    moments = rule.weights[:, None] * rule.points  # (nq, 3), per unit area
 
-    fvec = _theta_forcing(_levels(forcing, mesh), state_n.t, state_n.t + dt,
-                          alpha)  # (m, nq, 2)
-    # forcing plus the subscale history d = uprime^n/dt_eff
-    load = fvec + subscale_n.uprime / dt_eff
-
-    u_loc = np.stack([state_n.u1[tri], state_n.u2[tri]], axis=-1)  # (m, 3, 2)
-    mass_u, stiff_u, grad_u = _p1_actions(mesh, u_loc)
-    div_un = grad_u[:, 0, 0] + grad_u[:, 1, 1]
-    ubar = u_loc.mean(axis=1)  # element means of u_old
+    f = _theta_forcing(_levels(forcing, mesh), state_n.t, state_n.t + dt, alpha)
+    u = [state_n.u1[tri], state_n.u2[tri]]
+    grad = [_gradient(u_c, g) for u_c in u]  # grad[c][e] = du_c/dx_e
+    div_un = grad[0][0] + grad[1][1]
 
     parts = []
     cont = -((1 - alpha) * a / 3.0 * div_un)[:, None] * np.ones(3)
     for c in range(2):
-        load_c = load[:, :, c]
-        parts.append(assemble_vector(mesh, (w_w / dt)[:, None] * mass_u[:, :, c]
-                                     - (params.mu * (1 - alpha)) * stiff_u[:, :, c]
-                                     - ((1 - alpha) * t2 * a * div_un)[:, None] * g[:, :, c]
-                                     + (w_w * a)[:, None] * ((wq * load_c) @ rule.points)))
+        # forcing plus the subscale history d = uprime^n/dt_eff
+        load = subscale_n.uprime[..., c] / dt_eff
+        load += f[c]
+        total = u[c][:, 0] + u[c][:, 1] + u[c][:, 2]
+        # (1 - alpha) a times the viscous flux mu grad u_c, plus the
+        # grad-div flux tau2 div u on component c
+        flux = [(1 - alpha) * params.mu * a * grad[c][e] for e in range(2)]
+        flux[c] += (1 - alpha) * t2 * a * div_un
+        vec = u[c] + total[:, None]  # the mass action, times 12/a
+        vec *= (w_a / (12.0 * dt))[:, None]
+        vec -= g[:, :, 0] * flux[0][:, None]
+        vec -= g[:, :, 1] * flux[1][:, None]
+        vec += w_a[:, None] * (load @ moments)
+        parts.append(assemble_vector(mesh, vec))
         # continuity rows: tau1p (u_old/dt + f + d, grad q)
-        cont += ((t1p * a)[:, None] * g[:, :, c]
-                 * (ubar[:, c] / dt + load_c @ wq)[:, None])
+        cont += g[:, :, c] * (t1p * a * (total / (3.0 * dt) + load @ rule.weights))[:, None]
     rhs = np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
     rhs[dofmap.dirichlet_dofs] = 0.0
     return rhs
-
-
-def _momentum_residual(mesh, rule, state_old, state_new, dt, alpha, at):
-    """R1 = f_mid - (u_new - u_old)/dt - grad p, (m, nq, 2), at ``rule``'s
-    points, where ``at(t)`` gives the forcing there at level t."""
-    tri = mesh.triangles
-    fvec = _theta_forcing(at, state_old.t, state_old.t + dt, alpha)
-    du_loc = np.stack([(state_new.u1 - state_old.u1)[tri],
-                       (state_new.u2 - state_old.u2)[tri]], axis=-1) / dt
-    gradp = np.matmul(state_new.p[tri][:, None, :], mesh.shape_gradients)
-    return fvec - rule.points @ du_loc - gradp
 
 
 def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, forcing):
@@ -364,16 +367,29 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     subscale uprime_mid = tau1p * (R1 + uprime_old/dt_eff) with the momentum
     residual R1 = f_mid - (u_new - u_old)/dt - grad p (P1 fields carry no
     Laplacian), and returns the end-level history
-    uprime_new = (uprime_mid - (1 - alpha)*uprime_old)/alpha.  For backward
-    Euler (alpha = 1) the two levels coincide.  ``forcing`` is as in
+    uprime_new = (uprime_mid - (1 - alpha)*uprime_old)/alpha, that is
+    A*R1 + B*uprime_old with A = tau1p/alpha and
+    B = (tau1p/dt_eff - (1 - alpha))/alpha per element.  For backward Euler
+    (alpha = 1) the two levels coincide.  ``forcing`` is as in
     ``assemble_rhs``.
     """
-    alpha = scheme.alpha
-    resid = _momentum_residual(mesh, quadrature_rule(ASSEMBLY_QUAD_DEGREE),
-                               state_old, state_new, scheme.dt, alpha,
-                               _levels(forcing, mesh))
-    uprime_mid = params.tau1p[:, None, None] * (resid + subscale_n.uprime / scheme.dt_eff)
-    return SubscaleState((uprime_mid - (1 - alpha) * subscale_n.uprime) / alpha)
+    tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
+    # (3, nq), contiguous: a BLAS product with a transposed view is slower
+    to_points = np.ascontiguousarray(quadrature_rule(ASSEMBLY_QUAD_DEGREE).points.T)
+    f = _theta_forcing(_levels(forcing, mesh), state_old.t, state_old.t + dt, alpha)
+    grad_p = _gradient(state_new.p[tri], mesh.shape_gradients)
+    A = (params.tau1p / alpha)[:, None]
+    B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None]
+    uprime = np.empty(f.shape)
+    for c, (new, old) in enumerate(((state_new.u1, state_old.u1),
+                                    (state_new.u2, state_old.u2))):
+        resid = ((new - old) / dt)[tri] @ to_points
+        np.subtract(f[c], resid, out=resid)
+        resid -= grad_p[c][:, None]
+        resid *= A
+        np.multiply(B, subscale_n.uprime[..., c], out=uprime[c])
+        uprime[c] += resid
+    return SubscaleState(np.moveaxis(uprime, 0, -1))
 
 
 def _free_dofs(dofmap):
@@ -452,7 +468,7 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
 
     ``factor`` is the step matrix's ``ReducedFactor``; it is built here when
     not given.  ``assemble_rhs`` and ``update_subscales`` share one
-    evaluation of the forcing per time level.
+    ``LevelForcing``.
     """
     if factor is None:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
@@ -477,7 +493,8 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     n = 0 (initial data) through n_steps; it accumulates norms, or collects
     the trajectory, along the loop.  Step failures are re-raised as
     StepFailureError carrying the 1-based failing step index.  The forcing
-    is evaluated once per time level.
+    is evaluated once per mesh when separable, else once per time level
+    (``LevelForcing``).
     """
     forcing = LevelForcing(forcing, mesh)
     subscale = SubscaleState.zeros(mesh)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import manufactured
 from .asgs_core import StepFailureError, count_steps
+from .linalg import FactorBudgetError
 
 
 @dataclass
@@ -119,6 +120,9 @@ def cmd_solve(cfg):
     except StepFailureError as exc:
         print(f"error: solve failed at {exc}", file=sys.stderr)
         return 1
+    except FactorBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     lines = ["step,t,err_u_l2,err_u_h1,err_p_l2,eta"]
     for row in result.steps:
         lines.append(",".join([str(row["step"]), _fmt(row["t"]),
@@ -149,6 +153,9 @@ def cmd_study(cfg, levels, time_study=False):
         i, nx, dt = exc.level
         print(f"error: level {i} (nx={nx}, dt={dt:g}) failed at {exc}",
               file=sys.stderr)
+        return 1
+    except FactorBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     lines = ["level,nx,h,dt,err_u_vtilde,err_p_l2l2,total,roc,eta"]
     for row in table.rows:

@@ -34,6 +34,10 @@ class SingularMatrixError(Exception):
     """Factorization hit a (near-)zero pivot or an unusable residual."""
 
 
+class FactorBudgetError(ValueError):
+    """A factor's predicted size exceeds ``FACTOR_BUDGET_BYTES``."""
+
+
 class SparseMatrix:
     """CSR matrix with sorted, duplicate-free column indices per row."""
 
@@ -68,11 +72,11 @@ def predicted_fill(n_rows):
 
 
 def check_factor_budget(n_rows):
-    """ValueError when the predicted factor of ``n_rows`` rows exceeds
-    ``FACTOR_BUDGET_BYTES``."""
+    """FactorBudgetError, a ValueError, when the predicted factor of
+    ``n_rows`` rows exceeds ``FACTOR_BUDGET_BYTES``."""
     need = FACTOR_ENTRY_BYTES * predicted_fill(n_rows)
     if need > FACTOR_BUDGET_BYTES:
-        raise ValueError(f"the factor of {n_rows} rows is predicted to need "
+        raise FactorBudgetError(f"the factor of {n_rows} rows is predicted to need "
                          f"{need} bytes, above the budget of "
                          f"{FACTOR_BUDGET_BYTES} bytes")
 

@@ -96,6 +96,24 @@ def forcing(x, y, t, mu):
     return f1, f2
 
 
+@dataclass(frozen=True)
+class ManufacturedForcing:
+    """``forcing`` at viscosity ``mu``, callable as forcing(x, y, t).
+
+    It declares itself separable, forcing(x, y, t) = exp(-t) forcing(x, y, 0),
+    so the solver evaluates it once per mesh (``asgs_core.LevelForcing``).
+    """
+
+    mu: float
+
+    def __call__(self, x, y, t):
+        return forcing(x, y, t, self.mu)
+
+    @staticmethod
+    def time_factor(t):
+        return math.exp(-t)
+
+
 @dataclass
 class ErrorAccumulator:
     """Running squared space-time norms over the time loop.
@@ -346,8 +364,9 @@ class _VerificationObserver:
     """Accumulates error norms and the indicator along the time loop.
 
     Every norm is a ``_SquareForm`` of nodal errors (see the module
-    docstring); the forms are built on the n = 0 call, inside the time loop,
-    and no array at the error points is made after that.  A level keeps its
+    docstring); the forms are built on the first n = 0 call on a mesh,
+    inside the time loop, and kept on ``Mesh.table`` for later solves on
+    it; no array at the error points is made after that.  A level keeps its
     nodal velocity error, which Crank-Nicolson weights at t_n: the interval
     error is that of alpha*e^{n+1} + (1-alpha)*e^n with the weight
     alpha*c^{n+1} + (1-alpha)*c^n, the same combination that scales the
@@ -368,7 +387,9 @@ class _VerificationObserver:
 
     def __call__(self, n, state, subscale):
         if self.forms is None:
-            self.forms = _error_forms(self.mesh, self.exact, self.forcing_fn)
+            self.forms = self.mesh.table(
+                ("error_forms", self.exact, self.forcing_fn),
+                lambda mesh: _error_forms(mesh, self.exact, self.forcing_fn))
         forms, prev = self.forms, self._prev
         c = math.exp(-state.t)
         e = forms.velocity.error(np.stack([state.u1, state.u2], axis=-1), c)
@@ -412,13 +433,18 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
     The initial velocity is the nodal interpolant of the exact solution at
     t = 0 and the subscales start from zero.
     """
-    n_steps = count_steps(t_final, dt)
+    scheme = TimeScheme(theta=theta, dt=dt, n_steps=count_steps(t_final, dt))
     mesh = build_unit_square_mesh(nx)
-    dofmap = build_dofmap(mesh)
-    scheme = TimeScheme(theta=theta, dt=dt, n_steps=n_steps)
+    return _verification_solve(mesh, build_dofmap(mesh), scheme, mu, c1, c2,
+                               stabilized, collect_steps)
+
+
+def _verification_solve(mesh, dofmap, scheme, mu, c1, c2, stabilized,
+                        collect_steps=False):
+    """``run_verification_solve`` on a given mesh and its dofmap."""
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff,
                                           stabilized=stabilized)
-    forcing_fn = lambda x, y, t: forcing(x, y, t, mu)
+    forcing_fn = ManufacturedForcing(mu)
 
     u1_0 = interpolate(lambda x, y: exact_velocity(x, y, 0.0)[0], mesh)
     u2_0 = interpolate(lambda x, y: exact_velocity(x, y, 0.0)[1], mesh)
@@ -429,7 +455,7 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
     asgs_core.solve_transient(mesh, dofmap, scheme, params, forcing_fn,
                               initial, observer=observer)
     acc = observer.acc
-    return LevelResult(nx=nx, dt=dt, theta=theta,
+    return LevelResult(nx=mesh.nx, dt=scheme.dt, theta=scheme.theta,
                        err_u_vtilde=acc.err_u_vtilde,
                        err_u_l2l2=acc.err_u_l2l2,
                        err_u_l2h1=acc.err_u_l2h1,
@@ -446,18 +472,23 @@ def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
     """Run a sequence of refined solves and rate them.
 
     Level i halves dt i times; unless ``time_study`` it also doubles nx, in
-    which case rates are taken against h, otherwise against dt.
-    Returns (RateTable, [LevelResult]).  A failing solve's StepFailureError
-    is re-raised with ``level`` set to (i, nx, dt).
+    which case rates are taken against h, otherwise against dt.  A level
+    reuses the previous level's mesh and dofmap when its nx is the same, so
+    a time study builds them once and a space study lets each level's mesh
+    go.  Returns (RateTable, [LevelResult]).  A failing solve's
+    StepFailureError is re-raised with ``level`` set to (i, nx, dt).
     """
-    results = []
+    results, mesh = [], None
     for i in range(levels):
         nx = base_nx if time_study else base_nx * 2 ** i
         dt = base_dt / 2 ** i
+        scheme = TimeScheme(theta=theta, dt=dt, n_steps=count_steps(t_final, dt))
+        if mesh is None or mesh.nx != nx:
+            mesh = build_unit_square_mesh(nx)
+            dofmap = build_dofmap(mesh)
         try:
-            results.append(run_verification_solve(
-                nx, dt, theta, t_final, mu=mu, c1=c1, c2=c2,
-                stabilized=stabilized))
+            results.append(_verification_solve(mesh, dofmap, scheme, mu, c1, c2,
+                                               stabilized))
         except asgs_core.StepFailureError as exc:
             exc.level = (i, nx, dt)
             raise

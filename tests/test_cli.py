@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokes_asgs import linalg
 from stokes_asgs.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -92,6 +93,21 @@ def test_study_labels_failing_level(tmp_path, capsys):
     assert status == 1
     err = capsys.readouterr().err
     assert "level 0" in err and "step" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["study", "--levels", "2"]])
+def test_refused_factor_is_one_error_line(monkeypatch, tmp_path, capsys, command):
+    # a factor over the budget ends the run like a failed step: status 1 and
+    # one error line, no traceback and no CSV
+    monkeypatch.setattr(linalg, "FACTOR_BUDGET_BYTES", 10_000)
+    out = tmp_path / "out.csv"
+    status = run_cli(command + ["--nx", "8", "--dt", "0.5", "--t-final", "0.5",
+                                "--out", str(out)])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "budget of 10000 bytes" in err[0]
     assert not out.exists()
 
 

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_asgs import (build_dofmap, build_unit_square_mesh, interpolate,
-                         manufactured)
+from stokes_asgs import (asgs_core, build_dofmap, build_unit_square_mesh,
+                         interpolate, manufactured)
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
-                                   TimeScheme, _element_tables, _p1_actions,
-                                   solve_transient)
+                                   TimeScheme, solve_transient)
 from stokes_asgs.fem_space import quadrature_rule
 from stokes_asgs.manufactured import (DEFAULT_EXACT, ERROR_QUAD_DEGREE,
                                       ErrorAccumulator, _fold, _SquareForm,
@@ -382,8 +381,7 @@ def test_square_form_clamps_rounding_below_zero():
 
 def test_linear_field_kernels_exact():
     # P1 interpolation reproduces a linear field, so the reference's
-    # quadrature values and gradients are exact, and the closed-form element
-    # actions equal the element tables applied to the nodal values
+    # quadrature values and gradients are exact
     mesh = build_unit_square_mesh(3)
     rule = quadrature_rule(8)
     pts = mesh.quad_points(rule)
@@ -396,12 +394,6 @@ def test_linear_field_kernels_exact():
         assert np.abs(vals[..., d] - (c0 + c1 * x + c2 * y)).max() <= 1e-14
         assert np.abs(grads[:, d, 0] - c1).max() <= 1e-13
         assert np.abs(grads[:, d, 1] - c2).max() <= 1e-13
-
-    u_loc = np.stack([u1[mesh.triangles], u2[mesh.triangles]], axis=-1)
-    _, _, mass, stiff, _ = _element_tables(mesh)
-    mass_u, stiff_u, _ = _p1_actions(mesh, u_loc)
-    assert np.abs(mass_u - mass @ u_loc).max() <= 1e-14
-    assert np.abs(stiff_u - stiff @ u_loc).max() <= 1e-14
 
 
 # ------------------------------------------------- residual indicator
@@ -464,8 +456,9 @@ def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
         interpolate(lambda x, y: exact_velocity(x, y, 0.0)[0], mesh),
         interpolate(lambda x, y: exact_velocity(x, y, 0.0)[1], mesh),
         np.zeros(mesh.n_vertices), 0.0)
-    hist = []
-    solve_transient(mesh, build_dofmap(mesh), scheme, params, fn, initial,
+    hist = []  # the solve above takes the separable forcing object too
+    solve_transient(mesh, build_dofmap(mesh), scheme, params,
+                    manufactured.ManufacturedForcing(MU), initial,
                     observer=lambda n, state, subscale: hist.append(state))
     acc = ErrorAccumulator()
     etas = []
@@ -519,6 +512,48 @@ def test_forcing_evaluated_once_per_level(monkeypatch, theta, extra):
                         lambda *args: calls.append(args[2]) or plain(*args))
     run_verification_solve(4, 0.1, theta, 0.5)
     assert len(calls) <= 5 + extra
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 8), t=st.floats(0.0, 2.0))
+def test_separable_levels_equal_pointwise_forcing(nx, t):
+    # the solver's once-per-mesh F0, rescaled, must give the forcing at t
+    # and its Crank-Nicolson combination as pointwise evaluation does
+    mesh = build_unit_square_mesh(nx)
+    fn = manufactured.ManufacturedForcing(MU)
+    levels = asgs_core.LevelForcing(fn, mesh)
+    assert levels.f0 is not None
+
+    def pointwise(s):  # components first, as the solver keeps them
+        return np.moveaxis(asgs_core._forcing_at(fn, levels.pts, s), -1, 0)
+
+    dt = 0.1
+    for got, want in ((levels(t), pointwise(t)),
+                      (asgs_core._theta_forcing(levels, t, t + dt, 0.5),
+                       0.5 * pointwise(t + dt) + 0.5 * pointwise(t))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_time_study_builds_per_mesh_work_once(monkeypatch):
+    # the levels of a time study share one mesh, its dofmap, the observer's
+    # forms and the solver's forcing factor; each level's result is that of
+    # a solve on its own mesh
+    calls = {"mesh": 0, "forms": 0, "forcing": 0}
+
+    def counted(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+    with monkeypatch.context() as patch:
+        for name, attr in (("mesh", "build_unit_square_mesh"),
+                           ("forms", "_error_forms"), ("forcing", "forcing")):
+            patch.setattr(manufactured, attr, counted(name, getattr(manufactured, attr)))
+        _, results = manufactured.run_convergence_study(8, 0.5, 3, theta=0,
+                                                        time_study=True)
+    assert calls == {"mesh": 1, "forms": 1, "forcing": 2}
+    assert [r.dt for r in results] == [0.5, 0.25, 0.125]
+    for r in results:
+        assert r == run_verification_solve(8, r.dt, 0, 1.0)
 
 
 # ------------------------------------------------------------- rates
