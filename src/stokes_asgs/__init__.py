@@ -7,10 +7,9 @@ from .asgs_core import (FieldState, StabilizationParams, StepFailureError,
 from .fem_space import (DofMap, QuadratureRule, build_dofmap, interpolate,
                         quadrature_rule)
 from .linalg import SingularMatrixError, SparseMatrix
-from .manufactured import (ErrorAccumulator, LevelResult, RateTable,
-                           exact_pressure, exact_velocity,
-                           exact_velocity_gradient, forcing, forcing_moments,
-                           rate_table, residual_indicator,
+from .manufactured import (LevelResult, RateTable, exact_pressure,
+                           exact_velocity, exact_velocity_gradient, forcing,
+                           forcing_moments, rate_table, residual_indicator,
                            run_convergence_study, run_verification_solve)
 from .mesh import Mesh, build_unit_square_mesh
 

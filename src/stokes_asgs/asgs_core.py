@@ -264,12 +264,9 @@ class LevelForcing:
 
     A separable forcing declares a ``time_factor(t)`` with forcing(x, y, t)
     = time_factor(t) * forcing(x, y, 0).  It is evaluated once per mesh, as
-    F0 on ``Mesh.table`` under the forcing itself (so it must be hashable),
-    and a level is the rescaled copy time_factor(t)*F0.
-    Any other forcing is evaluated once per time level: ``assemble_rhs`` and
-    ``update_subscales`` read the same levels, and under Crank-Nicolson a
-    step's t_{n+1} is the next step's t_n.  A time loop only moves forward,
-    so a new level replaces every kept level but the latest.
+    F0 on ``Mesh.table`` under the forcing itself (so it must be hashable).
+    Any other forcing is evaluated pointwise at an interval's levels on each
+    use.
     """
 
     def __init__(self, forcing, mesh):
@@ -278,37 +275,23 @@ class LevelForcing:
         self.time_factor = getattr(forcing, "time_factor", None)
         self.f0 = None if self.time_factor is None else mesh.table(
             ("forcing", forcing), lambda _: self._pointwise(0.0))
-        self._levels = {}
 
     def _pointwise(self, t):
         return np.ascontiguousarray(np.moveaxis(_forcing_at(self.forcing, self.pts, t), -1, 0))
 
-    def __call__(self, t):
+    def interval(self, t_old, t_new, alpha):
+        """alpha*f(t_new) + (1-alpha)*f(t_old), in one pass over F0 when the
+        forcing is separable."""
         if self.f0 is not None:
-            return self.time_factor(t) * self.f0
-        values = self._levels.get(t)
-        if values is None:
-            values = self._pointwise(t)
-            if self._levels:
-                latest = max(self._levels)
-                self._levels = {latest: self._levels[latest]}
-            self._levels[t] = values
-        return values
+            c = self.time_factor
+            return (alpha * c(t_new) + (1 - alpha) * c(t_old)) * self.f0
+        if alpha == 1:  # backward Euler gives t_old no weight
+            return self._pointwise(t_new)
+        return alpha * self._pointwise(t_new) + (1 - alpha) * self._pointwise(t_old)
 
 
 def _levels(forcing, mesh):
     return forcing if isinstance(forcing, LevelForcing) else LevelForcing(forcing, mesh)
-
-
-def _theta_forcing(at, t_old, t_new, alpha):
-    """alpha*f(t_new) + (1-alpha)*f(t_old) from the per-level values ``at(t)``,
-    in one pass over F0 when ``at`` is a separable ``LevelForcing``."""
-    if isinstance(at, LevelForcing) and at.f0 is not None:
-        c = at.time_factor
-        return (alpha * c(t_new) + (1 - alpha) * c(t_old)) * at.f0
-    if alpha == 1:  # backward Euler gives t_old no weight
-        return at(t_new)
-    return alpha * at(t_new) + (1 - alpha) * at(t_old)
 
 
 def _gradient(values, g):
@@ -331,7 +314,7 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
     moments = rule.weights[:, None] * rule.points  # (nq, 3), per unit area
 
-    f = _theta_forcing(_levels(forcing, mesh), state_n.t, state_n.t + dt, alpha)
+    f = _levels(forcing, mesh).interval(state_n.t, state_n.t + dt, alpha)
     u = [state_n.u1[tri], state_n.u2[tri]]
     grad = [_gradient(u_c, g) for u_c in u]  # grad[c][e] = du_c/dx_e
     div_un = grad[0][0] + grad[1][1]
@@ -376,7 +359,7 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
     # (3, nq), contiguous: a BLAS product with a transposed view is slower
     to_points = np.ascontiguousarray(quadrature_rule(ASSEMBLY_QUAD_DEGREE).points.T)
-    f = _theta_forcing(_levels(forcing, mesh), state_old.t, state_old.t + dt, alpha)
+    f = _levels(forcing, mesh).interval(state_old.t, state_old.t + dt, alpha)
     grad_p = _gradient(state_new.p[tri], mesh.shape_gradients)
     A = (params.tau1p / alpha)[:, None]
     B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None]
@@ -493,8 +476,8 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     n = 0 (initial data) through n_steps; it accumulates norms, or collects
     the trajectory, along the loop.  Step failures are re-raised as
     StepFailureError carrying the 1-based failing step index.  The forcing
-    is evaluated once per mesh when separable, else once per time level
-    (``LevelForcing``).
+    is evaluated once per mesh when separable, else at each interval's
+    levels on each use (``LevelForcing``).
     """
     forcing = LevelForcing(forcing, mesh)
     subscale = SubscaleState.zeros(mesh)

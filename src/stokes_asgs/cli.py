@@ -120,9 +120,6 @@ def cmd_solve(cfg):
     except StepFailureError as exc:
         print(f"error: solve failed at {exc}", file=sys.stderr)
         return 1
-    except FactorBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     lines = ["step,t,err_u_l2,err_u_h1,err_p_l2,eta"]
     for row in result.steps:
         lines.append(",".join([str(row["step"]), _fmt(row["t"]),
@@ -153,9 +150,6 @@ def cmd_study(cfg, levels, time_study=False):
         i, nx, dt = exc.level
         print(f"error: level {i} (nx={nx}, dt={dt:g}) failed at {exc}",
               file=sys.stderr)
-        return 1
-    except FactorBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     lines = ["level,nx,h,dt,err_u_vtilde,err_p_l2l2,total,roc,eta"]
     for row in table.rows:
@@ -214,9 +208,13 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "solve":
-        return cmd_solve(cfg)
-    return cmd_study(cfg, args.levels, time_study=args.time_study)
+    try:
+        if args.command == "solve":
+            return cmd_solve(cfg)
+        return cmd_study(cfg, args.levels, time_study=args.time_study)
+    except FactorBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -101,7 +101,8 @@ class ManufacturedForcing:
     """``forcing`` at viscosity ``mu``, callable as forcing(x, y, t).
 
     It declares itself separable, forcing(x, y, t) = exp(-t) forcing(x, y, 0),
-    so the solver evaluates it once per mesh (``asgs_core.LevelForcing``).
+    so the solver evaluates it once per mesh (``asgs_core.LevelForcing``),
+    where a plain callable is evaluated at an interval's levels on each use.
     """
 
     mu: float
@@ -112,51 +113,6 @@ class ManufacturedForcing:
     @staticmethod
     def time_factor(t):
         return math.exp(-t)
-
-
-@dataclass
-class ErrorAccumulator:
-    """Running squared space-time norms over the time loop.
-
-    All accumulators are nonnegative and nondecreasing; ``u_max_l2_sq``
-    tracks the largest squared snapshot L2 velocity error seen so far
-    (the max part of the velocity norm squared).
-    """
-
-    u_l2l2_sq: float = 0.0
-    u_l2h1_sq: float = 0.0
-    u_max_l2_sq: float = 0.0
-    p_l2l2_sq: float = 0.0
-    eta_sq: float = 0.0
-    div_l2l2_sq: float = 0.0
-
-    @property
-    def err_u_l2l2(self):
-        return math.sqrt(self.u_l2l2_sq)
-
-    @property
-    def err_u_l2h1(self):
-        return math.sqrt(self.u_l2h1_sq)
-
-    @property
-    def err_u_vtilde(self):
-        return math.sqrt(self.u_max_l2_sq + self.u_l2h1_sq)
-
-    @property
-    def err_p_l2l2(self):
-        return math.sqrt(self.p_l2l2_sq)
-
-    @property
-    def eta(self):
-        return math.sqrt(self.eta_sq)
-
-    @property
-    def err_div_l2l2(self):
-        return math.sqrt(self.div_l2l2_sq)
-
-    @property
-    def total_error(self):
-        return math.sqrt(self.u_max_l2_sq + self.u_l2h1_sq + self.p_l2l2_sq)
 
 
 DEFAULT_EXACT = (exact_velocity, exact_velocity_gradient, exact_pressure)
@@ -198,8 +154,10 @@ def forcing_moments(mesh, forcing_fn, t_n, dt, theta):
     """``ForcingMoments`` of the interval forcing
     f_mid = alpha*f(t_n + dt) + (1-alpha)*f(t_n), evaluated pointwise."""
     pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
-    f = asgs_core._theta_forcing(lambda t: asgs_core._forcing_at(forcing_fn, pts, t),
-                                 t_n, t_n + dt, 0.5 * (1 + theta))
+    alpha = 0.5 * (1 + theta)
+    f = asgs_core._forcing_at(forcing_fn, pts, t_n + dt)
+    if alpha != 1:  # backward Euler gives f(t_n) no weight
+        f = alpha * f + (1 - alpha) * asgs_core._forcing_at(forcing_fn, pts, t_n)
     return _moments(mesh, f)
 
 
@@ -258,12 +216,14 @@ class RateTable:
         return [r.roc for r in self.rows[1:]]
 
 
-def rate_table(levels, rate_against="h"):
+def rate_table(levels):
     """Rates of convergence from per-level results.
 
     ``levels`` is a sequence of objects with nx, dt, err_u_vtilde,
-    err_p_l2l2, total and eta attributes; ``rate_against`` selects whether
-    the log-ratio denominator uses h = 1/nx or dt (for temporal studies).
+    err_p_l2l2, total and eta attributes.  The rate of a level is the
+    log-ratio of its total to the previous level's, over the log-ratio of
+    dt when the two levels have the same nx (a temporal study) and of
+    h = 1/nx otherwise.
     """
     if len(levels) < 2:
         raise ValueError("need at least 2 levels to compute rates")
@@ -275,7 +235,7 @@ def rate_table(levels, rate_against="h"):
         else:
             prev = levels[i - 1]
             num = math.log(prev.total / lv.total)
-            if rate_against == "dt":
+            if lv.nx == prev.nx:
                 den = math.log(prev.dt / lv.dt)
             else:
                 den = math.log((1.0 / prev.nx) / h)
@@ -289,19 +249,53 @@ def rate_table(levels, rate_against="h"):
 
 @dataclass
 class LevelResult:
-    """Summary of one verification solve."""
+    """One verification solve: its running squared space-time norms, folded
+    in along the time loop, and the norms they give.
+
+    The sums are nonnegative and nondecreasing; ``u_max_l2_sq`` is the
+    largest squared snapshot L2 velocity error seen so far (the max part of
+    the velocity norm squared).  ``steps`` holds the per-step records when
+    collected.
+    """
 
     nx: int
     dt: float
     theta: int
-    err_u_vtilde: float
-    err_u_l2l2: float
-    err_u_l2h1: float
-    err_p_l2l2: float
-    total: float
-    eta: float
-    err_div_l2l2: float
+    u_l2l2_sq: float = 0.0
+    u_l2h1_sq: float = 0.0
+    u_max_l2_sq: float = 0.0
+    p_l2l2_sq: float = 0.0
+    eta_sq: float = 0.0
+    div_l2l2_sq: float = 0.0
     steps: list = field(default_factory=list, repr=False)
+
+    @property
+    def err_u_l2l2(self):
+        return math.sqrt(self.u_l2l2_sq)
+
+    @property
+    def err_u_l2h1(self):
+        return math.sqrt(self.u_l2h1_sq)
+
+    @property
+    def err_u_vtilde(self):
+        return math.sqrt(self.u_max_l2_sq + self.u_l2h1_sq)
+
+    @property
+    def err_p_l2l2(self):
+        return math.sqrt(self.p_l2l2_sq)
+
+    @property
+    def total(self):
+        return math.sqrt(self.u_max_l2_sq + self.u_l2h1_sq + self.p_l2l2_sq)
+
+    @property
+    def eta(self):
+        return math.sqrt(self.eta_sq)
+
+    @property
+    def err_div_l2l2(self):
+        return math.sqrt(self.div_l2l2_sq)
 
 
 class _SquareForm:
@@ -380,9 +374,8 @@ class _VerificationObserver:
         self.forcing_fn = forcing_fn
         self.exact = exact
         self.forms = None
-        self.acc = ErrorAccumulator()
+        self.result = LevelResult(mesh.nx, scheme.dt, scheme.theta)
         self.collect_steps = collect_steps
-        self.steps = []
         self._prev = None
 
     def __call__(self, n, state, subscale):
@@ -414,10 +407,10 @@ class _VerificationObserver:
                                  c_mid ** 2 * forms.forcing.sq)
         _, eta = residual_indicator(prev.state, state, self.mesh, dt, theta,
                                     moments)
-        _fold(self.acc, parts, dt)
-        self.acc.eta_sq += dt * eta ** 2
+        _fold(self.result, parts, dt)
+        self.result.eta_sq += dt * eta ** 2
         if self.collect_steps:
-            self.steps.append({
+            self.result.steps.append({
                 "step": n, "t": state.t,
                 "err_u_l2": math.sqrt(parts["mid_l2"]),
                 "err_u_h1": math.sqrt(parts["mid_h1"]),
@@ -454,16 +447,7 @@ def _verification_solve(mesh, dofmap, scheme, mu, c1, c2, stabilized,
                                      collect_steps=collect_steps)
     asgs_core.solve_transient(mesh, dofmap, scheme, params, forcing_fn,
                               initial, observer=observer)
-    acc = observer.acc
-    return LevelResult(nx=mesh.nx, dt=scheme.dt, theta=scheme.theta,
-                       err_u_vtilde=acc.err_u_vtilde,
-                       err_u_l2l2=acc.err_u_l2l2,
-                       err_u_l2h1=acc.err_u_l2h1,
-                       err_p_l2l2=acc.err_p_l2l2,
-                       total=acc.total_error,
-                       eta=acc.eta,
-                       err_div_l2l2=acc.err_div_l2l2,
-                       steps=observer.steps)
+    return observer.result
 
 
 def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
@@ -471,8 +455,8 @@ def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
                           time_study=False):
     """Run a sequence of refined solves and rate them.
 
-    Level i halves dt i times; unless ``time_study`` it also doubles nx, in
-    which case rates are taken against h, otherwise against dt.  A level
+    Level i halves dt i times; unless ``time_study`` it also doubles nx, so
+    ``rate_table`` takes the rates against h, otherwise against dt.  A level
     reuses the previous level's mesh and dofmap when its nx is the same, so
     a time study builds them once and a space study lets each level's mesh
     go.  Returns (RateTable, [LevelResult]).  A failing solve's
@@ -492,5 +476,4 @@ def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
         except asgs_core.StepFailureError as exc:
             exc.level = (i, nx, dt)
             raise
-    table = rate_table(results, rate_against="dt" if time_study else "h")
-    return table, results
+    return rate_table(results), results

@@ -12,7 +12,8 @@ from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    coercivity_check, infsup_constant,
                                    solve_transient, step, update_subscales)
 from stokes_asgs.fem_space import quadrature_rule
-from stokes_asgs.manufactured import exact_velocity, forcing
+from stokes_asgs.manufactured import (ManufacturedForcing, exact_velocity,
+                                      forcing)
 
 from oracle_dense import dense_assemble
 
@@ -377,14 +378,19 @@ def _random_step_inputs(mesh, rng):
     return state, sub
 
 
-@pytest.mark.parametrize("theta", [1, 0])
-def test_step_matches_dense_oracle(theta):
+# the separable forcing takes the solver's once-per-mesh path; the oracle
+# evaluates every forcing pointwise
+@pytest.mark.parametrize("theta,forcing_fn", [
+    pytest.param(theta, fn, id=f"{theta}{suffix}")
+    for suffix, fn in (("", _forcing_fn()), ("-separable", ManufacturedForcing(MU)))
+    for theta in (1, 0)])
+def test_step_matches_dense_oracle(theta, forcing_fn):
     mesh = build_unit_square_mesh(3)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     state, sub = _random_step_inputs(mesh, np.random.default_rng(21 + theta))
-    new, _ = step(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    new, _ = step(mesh, dofmap, state, sub, scheme, params, forcing_fn)
     A, b = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     x = np.linalg.solve(A, b)
     got = np.concatenate([new.u1, new.u2, new.p])
