@@ -29,9 +29,9 @@ uprime^{n+1} = (uprime^{n+alpha} - (1-alpha)*uprime^n)/alpha, the
 trapezoidal rule for d(uprime)/dt + uprime/tau1 = R when alpha = 1/2.
 Second derivatives of P1 fields vanish elementwise, so no Laplacian terms
 appear in the residuals or their adjoints.  The element matrices and
-vectors are summed onto the vertices by ``fem_space.assemble_matrix`` and
-``fem_space.assemble_vector``; this module only forms the element arrays
-and joins the n x n blocks.  The assembled system replaces
+vectors are summed onto the vertices by ``fem_space.assemble_system``,
+``fem_space.assemble_matrix`` and ``fem_space.assemble_vector``; this
+module only forms the element arrays.  The assembled system replaces
 the Dirichlet velocity rows by identity rows and appends a single Lagrange
 multiplier row/column that pins the pressure mean to zero; this constrained
 matrix is the assembly contract.  The direct solver factorizes only the
@@ -47,7 +47,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import linalg
-from .fem_space import assemble_matrix, assemble_vector, quadrature_rule
+from .fem_space import (assemble_matrix, assemble_system, assemble_vector,
+                        quadrature_rule)
 
 ASSEMBLY_QUAD_DEGREE = 5
 
@@ -216,41 +217,26 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
     With ``constrained`` the Dirichlet velocity rows are replaced by
     identity rows and the mean-pressure multiplier row/column is appended;
     otherwise the raw operator of size 2*n_u + n_p is returned (used by the
-    eigenvalue diagnostics).
+    eigenvalue diagnostics).  ``fem_space.assemble_system`` writes the nine
+    blocks' element sums straight into the matrix, one block at a time.
     """
     a, g, mass, stiff, div = _element_tables(mesh)
     alpha, dt = scheme.alpha, scheme.dt
     m_w, t1p = params.m_weights, params.tau1p
-
-    # velocity-velocity: time derivative + viscosity on each component,
-    # grad-div coupling across components
+    # time derivative + viscosity on each velocity component
     diag_block = (params.w_weights / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
-    blocks = [[_grad_div(a, g, alpha * params.tau2, c, cp) + (diag_block if c == cp else 0.0)
-               for cp in range(2)] for c in range(2)]
-    for c in range(2):
-        # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
-        blocks[c].append(-div[:, c].transpose(0, 2, 1)
-                         - (m_w * a / 3.0)[:, None, None] * g[:, None, :, c])
-    # continuity-velocity: Galerkin (div u_mid, q) and subscale
-    # tau1p*(u_new/dt, grad q); continuity-pressure: tau1p * pressure Laplacian
-    blocks.append([alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
-                   for c in range(2)] + [t1p[:, None, None] * stiff])
-    K = [[assemble_matrix(mesh, local) for local in row] for row in blocks]
-    if not constrained:
-        return linalg.SparseMatrix(sp.bmat(K, format="csr"))
 
-    mean = sp.csr_matrix(dofmap.mean_vector[:, None])
-    K = sp.bmat([K[0] + [None], K[1] + [None], K[2] + [mean], [None, None, mean.T, None]],
-                format="csr")
-    # Dirichlet rows become identity rows: each keeps its stored diagonal,
-    # set to 1, and drops the rest.  Slicing the CSR arrays prunes no stored
-    # zero elsewhere, so the pattern stays that of the element couplings.
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-    on = dofmap.dirichlet_mask()[rows]
-    keep = ~on | (K.indices == rows)
-    indptr = np.searchsorted(np.flatnonzero(keep), K.indptr)
-    return linalg.SparseMatrix(sp.csr_matrix(
-        (np.where(on, 1.0, K.data)[keep], K.indices[keep], indptr), shape=K.shape))
+    def block(r, c):
+        if r < 2 and c < 2:  # velocity-velocity, with grad-div across components
+            return _grad_div(a, g, alpha * params.tau2, r, c) + (diag_block if r == c else 0.0)
+        if r < 2:  # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
+            return (-div[:, r].transpose(0, 2, 1)
+                    - (m_w * a / 3.0)[:, None, None] * g[:, None, :, r])
+        if c < 2:  # continuity-velocity: (div u_mid, q) and tau1p*(u_new/dt, grad q)
+            return alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
+        return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
+
+    return linalg.SparseMatrix(assemble_system(mesh, dofmap, block, constrained))
 
 
 def _forcing_at(forcing, pts, t):

@@ -1,7 +1,7 @@
 """Sparse storage and the direct solver for the assembled systems.
 
 Thin layer over scipy.sparse: canonical compressed-row storage of the
-matrices that ``fem_space.assemble_matrix`` sums and ``asgs_core`` joins,
+matrices that ``fem_space.assemble_matrix`` and ``assemble_system`` sum,
 and a sparse LU with a singularity gate.  The time stepper hands the LU the
 reduced interior system, free of the Dirichlet identity rows and the dense
 mean-pressure multiplier row/column, with its dofs already in a
@@ -11,7 +11,12 @@ threshold 0.1); a solve is one back-solve, and the caller checks its
 residual.  The saddle-point systems produced by the assembly are
 nonsymmetric, and the unstabilized equal-order variant may be genuinely
 rank deficient; ``SingularMatrixError`` is therefore a meaningful outcome,
-not just a guard.
+not just a guard.  Besides an exactly zero pivot, the gate refuses a factor
+whose 1-norm condition number reaches 1/``PIVOT_RTOL``, estimated from four
+solves with the factor itself (Hager's estimator in the block form of
+Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000), at one column), so
+the factor is never read back: reading SuperLU's ``L`` or ``U`` builds
+and keeps a second copy of the whole factor.
 Every sparse factor, the diagnostics' pencils too, is refused before it
 is factored when its predicted fill exceeds ``FACTOR_BUDGET_BYTES``: on the
 unit square, from nx=334 on.
@@ -20,7 +25,10 @@ unit square, from nx=334 on.
 import numpy as np
 import scipy.sparse.linalg as spla
 
-# Relative size under which an LU pivot declares the matrix singular.
+# A factor is refused as singular when 1/est(||A^{-1}||_1) is at most this
+# times max(||A||_1, 1): the estimated condition number of a matrix of norm
+# 1 or more reaches 1e13.  The step matrices read 5e7 / 2.8e8 / 1.8e9 at
+# nx 64/100/160.
 PIVOT_RTOL = 1e-13
 DIRECT_RESIDUAL_TOL = 1e-10
 
@@ -31,7 +39,8 @@ FACTOR_ENTRY_BYTES = 12
 
 
 class SingularMatrixError(Exception):
-    """Factorization hit a (near-)zero pivot or an unusable residual."""
+    """Factorization hit a zero pivot, the factor's estimated 1-norm condition
+    number reached 1/``PIVOT_RTOL``, or a solve left an unusable residual."""
 
 
 class FactorBudgetError(ValueError):
@@ -83,12 +92,14 @@ def check_factor_budget(n_rows):
 
 class DirectFactor:
     """Reusable sparse LU of a square SparseMatrix, in the order given;
-    ValueError, before factoring, when ``check_factor_budget`` refuses it."""
+    ValueError, before factoring, when ``check_factor_budget`` refuses it,
+    and SingularMatrixError from the condition gate (module docstring)."""
 
     def __init__(self, A):
         if A.n_rows != A.n_cols:
             raise ValueError("matrix must be square")
         check_factor_budget(A.n_rows)
+        norm = max(spla.norm(A.csr, 1), 1.0)
         try:
             # keep the caller's order and prefer its diagonal pivots; at the
             # default threshold 1.0 the nested-dissection order of the nx=64
@@ -98,10 +109,15 @@ class DirectFactor:
                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular factor
             raise SingularMatrixError(str(exc)) from exc
-        udiag = np.abs(self.lu.U.diagonal())
-        if udiag.size and udiag.min() <= PIVOT_RTOL * max(udiag.max(), 1.0):
+        lu = self.lu
+        inverse = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float,
+                                      rmatvec=lambda b: lu.solve(b, trans="T"))
+        with np.errstate(all="ignore"):  # an overflowing solve reads inf or nan
+            est = spla.onenormest(inverse, t=1)
+        if not est * norm * PIVOT_RTOL < 1.0:  # nan refused too
             raise SingularMatrixError(
-                f"pivot ratio {udiag.min():.3e}/{udiag.max():.3e} below threshold")
+                f"1-norm condition estimate {est * norm:.3e} reaches "
+                f"1/PIVOT_RTOL = {1 / PIVOT_RTOL:.0e}")
 
     def solve(self, b):
         """A^{-1} b by one back-solve."""

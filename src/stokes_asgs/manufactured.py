@@ -161,13 +161,14 @@ def forcing_moments(mesh, forcing_fn, t_n, dt, theta):
     return _moments(mesh, f)
 
 
-def residual_indicator(state_n, state_np1, mesh, dt, theta, moments):
+def residual_indicator(state_n, state_np1, mesh, dt, div_mid, moments):
     """Residual error indicator for one interval.
 
     eta_k^2 = h_k^2 ||R1||_{0,k}^2 + ||R2||_{0,k}^2 with the subscale-free
     residuals R1 = f - (du_h/dt + grad p_h) (no Laplacian for P1) and
-    R2 = -div u_h, both at the (n, theta) level; ``moments`` are the
-    ``ForcingMoments`` of the interval forcing f.  With du = (u^{n+1} - u^n)/dt
+    R2 = -div u_h, both at the (n, theta) level; ``div_mid`` is the
+    elementwise interval divergence (``_theta_divergence``) and ``moments``
+    the ``ForcingMoments`` of the interval forcing f.  With du = (u^{n+1} - u^n)/dt
     nodal and grad p_h constant, ||R1||_k^2 is in closed form, expanded
     about the element constant g = fbar - grad p_h (fbar the element mean
     of f) so that a small residual keeps its digits:
@@ -188,8 +189,7 @@ def residual_indicator(state_n, state_np1, mesh, dt, theta, moments):
              + a / 12.0 * (np.einsum("kic,kic->k", du, du)
                            + np.einsum("kc,kc->k", du_sum, du_sum)))
     r1_sq = np.maximum(r1_sq, 0.0)
-    alpha = 0.5 * (1 + theta)
-    r2_sq = a * _theta_divergence(mesh, state_n, state_np1, alpha) ** 2
+    r2_sq = a * div_mid ** 2
 
     eta_k_sq = mesh.diameters ** 2 * r1_sq + r2_sq
     return np.sqrt(eta_k_sq), float(np.sqrt(eta_k_sq.sum()))
@@ -390,7 +390,7 @@ class _VerificationObserver:
         self._prev = level
         if prev is None:
             return
-        dt, theta, alpha = self.scheme.dt, self.scheme.theta, self.scheme.alpha
+        dt, alpha = self.scheme.dt, self.scheme.alpha
         e_mid = alpha * e + (1 - alpha) * prev.error
         c_mid = alpha * c + (1 - alpha) * prev.c
         mid_l2 = forms.velocity.square(e_mid, c_mid)
@@ -405,7 +405,7 @@ class _VerificationObserver:
         }
         moments = ForcingMoments(c_mid * forms.forcing.lam,
                                  c_mid ** 2 * forms.forcing.sq)
-        _, eta = residual_indicator(prev.state, state, self.mesh, dt, theta,
+        _, eta = residual_indicator(prev.state, state, self.mesh, dt, div_mid,
                                     moments)
         _fold(self.result, parts, dt)
         self.result.eta_sq += dt * eta ** 2

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +14,7 @@ from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    _taus, assemble_lhs, assemble_rhs,
                                    coercivity_check, infsup_constant,
                                    solve_transient, step, update_subscales)
-from stokes_asgs.fem_space import quadrature_rule
+from stokes_asgs.fem_space import assemble_matrix, quadrature_rule
 from stokes_asgs.manufactured import (ManufacturedForcing, exact_velocity,
                                       forcing)
 
@@ -533,6 +536,61 @@ def test_step_matrix_pattern_counts(nx):
                 matrix = assemble_lhs(mesh, dofmap, scheme, params)
                 factor = ReducedFactor(matrix, dofmap)
                 assert matrix.csr[factor.kept][:, factor.kept].nnz == 95366
+
+
+def _bmat_reference(mesh, dofmap, block, constrained=True):
+    """The step matrix joined by ``sp.bmat`` from the nine assembled blocks,
+    with the Dirichlet rows cut to identity rows afterwards: the
+    construction that ``fem_space.assemble_system`` replaced."""
+    K = [[assemble_matrix(mesh, block(r, c)) for c in range(3)] for r in range(3)]
+    if not constrained:
+        return linalg.SparseMatrix(sp.bmat(K, format="csr")).csr
+    mean = sp.csr_matrix(dofmap.mean_vector[:, None])
+    K = sp.bmat([K[0] + [None], K[1] + [None], K[2] + [mean], [None, None, mean.T, None]],
+                format="csr")
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    on = dofmap.dirichlet_mask()[rows]
+    keep = ~on | (K.indices == rows)
+    indptr = np.searchsorted(np.flatnonzero(keep), K.indptr)
+    return linalg.SparseMatrix(sp.csr_matrix(
+        (np.where(on, 1.0, K.data)[keep], K.indices[keep], indptr), shape=K.shape)).csr
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(1, 8), theta=st.sampled_from([0, 1]), dt=st.floats(1e-3, 10.0),
+       stabilized=st.booleans(), constrained=st.booleans())
+def test_step_matrix_equals_bmat_reference(nx, theta, dt, stabilized, constrained):
+    # written in place, the step matrix is bitwise the joined one
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
+                                          stabilized=stabilized)
+    got = assemble_lhs(mesh, dofmap, scheme, params, constrained).csr
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asgs_core, "assemble_system", _bmat_reference)
+        want = assemble_lhs(mesh, dofmap, scheme, params, constrained).csr
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_step_matrix_assembly_peak_memory():
+    # with the mesh's pattern built, a call peaks at about 2.1x the bytes of
+    # the CSR it returns; joining the blocks with sp.bmat and cutting the
+    # Dirichlet rows peaked at 6.2x
+    mesh = build_unit_square_mesh(40)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=1, dt=0.025, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    assemble_lhs(mesh, dofmap, scheme, params)  # builds the per-mesh pattern
+    tracemalloc.start()
+    try:
+        csr = assemble_lhs(mesh, dofmap, scheme, params).csr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 # ------------------------------------------------------------ subscales
