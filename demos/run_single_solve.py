@@ -10,7 +10,7 @@ residual-based indicator; at the end the accumulated space-time norms.
 from stokes_asgs.manufactured import run_verification_solve
 
 result = run_verification_solve(nx=10, dt=0.1, theta=1, t_final=1.0,
-                                mu=0.1, c1=4.0, c2=2.0, collect_steps=True)
+                                mu=0.1, c1=4.0, c2=2.0)
 
 print("step    t     err_u_L2    err_u_H1    err_p_L2      eta")
 for row in result.steps:

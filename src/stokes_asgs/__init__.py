@@ -9,8 +9,8 @@ from .fem_space import (DofMap, QuadratureRule, build_dofmap, interpolate,
 from .linalg import SingularMatrixError, SparseMatrix
 from .manufactured import (LevelResult, RateTable, exact_pressure,
                            exact_velocity, exact_velocity_gradient, forcing,
-                           forcing_moments, rate_table, residual_indicator,
-                           run_convergence_study, run_verification_solve)
+                           rate_table, run_convergence_study,
+                           run_verification_solve)
 from .mesh import Mesh, build_unit_square_mesh
 
 __version__ = "0.1.0"

@@ -211,14 +211,12 @@ def _grad_div(a, g, weight, c, cp):
     return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
 
 
-def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
-    """System matrix for one step.
-
-    With ``constrained`` the Dirichlet velocity rows are replaced by
-    identity rows and the mean-pressure multiplier row/column is appended;
-    otherwise the raw operator of size 2*n_u + n_p is returned (used by the
-    eigenvalue diagnostics).  ``fem_space.assemble_system`` writes the nine
-    blocks' element sums straight into the matrix, one block at a time.
+def assemble_lhs(mesh, dofmap, scheme, params):
+    """System matrix for one step: the Dirichlet velocity rows are identity
+    rows and the mean-pressure multiplier row/column is appended; on the
+    free velocity and pressure dofs it holds the raw operator.
+    ``fem_space.assemble_system`` writes the nine blocks' element sums
+    straight into the matrix, one block at a time.
     """
     a, g, mass, stiff, div = _element_tables(mesh)
     alpha, dt = scheme.alpha, scheme.dt
@@ -236,7 +234,7 @@ def assemble_lhs(mesh, dofmap, scheme, params, constrained=True):
             return alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
         return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
 
-    return linalg.SparseMatrix(assemble_system(mesh, dofmap, block, constrained))
+    return linalg.SparseMatrix(assemble_system(mesh, dofmap, block))
 
 
 def _forcing_at(forcing, pts, t):
@@ -521,9 +519,10 @@ def coercivity_check(mesh, dofmap, params, dt):
     """Least x^T S x / x^T x over the free velocities and zero-mean pressures.
 
     S = (A + A^T)/2 for the raw backward-Euler operator A at ``dt``, which
-    must equal ``params.dt_eff``.  That is the least eigenvalue of the
-    pencil [[S, m], [m^T, 0]] x = lam diag(I, 0) x on the ``_free_dofs``,
-    bordered last by the mean vector m.  Shifted by sigma < 0 it has one
+    must equal ``params.dt_eff``, on the ``_free_dofs``, where the step
+    matrix holds A.  That is the least eigenvalue of the pencil
+    [[S, m], [m^T, 0]] x = lam diag(I, 0) x, bordered last by the mean
+    vector m on those dofs.  Shifted by sigma < 0 it has one
     negative pivot unless S has an admissible eigenvalue below sigma
     (LinAlgError).  ValueError, before assembling, when
     ``linalg.check_factor_budget`` refuses the pencil.
@@ -534,11 +533,11 @@ def coercivity_check(mesh, dofmap, params, dt):
         raise ValueError(f"dt {dt} differs from params.dt_eff {params.dt_eff}")
     dofs = _free_dofs(dofmap)
     linalg.check_factor_budget(dofs.size + 1)
-    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params,
-                     constrained=False).csr
+    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
+                     params).csr[dofs][:, dofs]
     mean = np.concatenate([np.zeros(2 * dofmap.n_u), dofmap.mean_vector])
     border = sp.csr_matrix(mean[dofs][:, None])
-    K = sp.bmat([[(0.5 * (A + A.T))[dofs][:, dofs], border], [border.T, None]])
+    K = sp.bmat([[0.5 * (A + A.T), border], [border.T, None]])
     M = sp.diags(np.append(np.ones(dofs.size), 0.0))
     return float(_nearest_eigenvalues(K, M, -1e-6, 1, 1)[0])
 

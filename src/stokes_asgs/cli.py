@@ -116,7 +116,7 @@ def cmd_solve(cfg):
     try:
         result = manufactured.run_verification_solve(
             cfg.nx, cfg.dt, cfg.theta, cfg.t_final, mu=cfg.mu, c1=cfg.c1,
-            c2=cfg.c2, stabilized=cfg.stabilized, collect_steps=True)
+            c2=cfg.c2, stabilized=cfg.stabilized)
     except StepFailureError as exc:
         print(f"error: solve failed at {exc}", file=sys.stderr)
         return 1

@@ -214,13 +214,18 @@ def assemble_vector(mesh, local):
 
 
 def _p1_pattern(mesh):
-    """CSR (indptr, indices) of the vertex pairs that share an element, and
-    the position in ``indices`` of every element entry (k, i, j), (m, 3, 3)."""
+    """Read-only CSR (indptr, indices) of the vertex pairs that share an
+    element, and the position in ``indices`` of every element entry
+    (k, i, j), (m, 3, 3)."""
     n, tri = mesh.n_vertices, mesh.triangles
     pairs, slots = np.unique((tri[:, :, None] * n + tri[:, None, :]).ravel(),
                              return_inverse=True)
-    indptr = np.searchsorted(pairs, n * np.arange(n + 1))
-    return indptr, pairs % n, slots.reshape(tri.shape + (3,))
+    dtype = np.int32 if pairs.size < 2 ** 31 else np.int64  # as scipy would choose
+    indptr = np.searchsorted(pairs, n * np.arange(n + 1)).astype(dtype)
+    indices = (pairs % n).astype(dtype)
+    for arr in (indptr, indices):
+        arr.setflags(write=False)
+    return indptr, indices, slots.reshape(tri.shape + (3,))
 
 
 def assemble_matrix(mesh, local):
@@ -228,7 +233,8 @@ def assemble_matrix(mesh, local):
 
     Entry (i, j) of element k adds to (triangles[k, i], triangles[k, j]).
     The pattern is every vertex pair that shares an element, whatever the
-    values: a sum that is zero stays a stored entry.
+    values: a sum that is zero stays a stored entry.  The index arrays are
+    the mesh's, shared by every matrix assembled on it.
     """
     indptr, indices, slots = mesh.table("p1_pattern", _p1_pattern)
     n = mesh.n_vertices
@@ -236,12 +242,12 @@ def assemble_matrix(mesh, local):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _scatter(mesh, indptr, constrained, blocks, constraints, dtype):
+def _scatter(mesh, indptr, blocks, constraints, dtype):
     """An array laid out as the data of the system with row pointers
     ``indptr``: the kept entries of the P1 pattern in block (r, c) hold
-    ``blocks(r, c)``, called one block at a time, and when ``constrained``
-    the Dirichlet rows' diagonals, the multiplier column and the multiplier
-    row hold the three ``constraints``."""
+    ``blocks(r, c)``, called one block at a time, and the Dirichlet rows'
+    diagonals, the multiplier column and the multiplier row hold the three
+    ``constraints``."""
     p1_indptr = mesh.table("p1_pattern", _p1_pattern)[0]
     n = mesh.n_vertices
     length = np.diff(p1_indptr)
@@ -251,59 +257,55 @@ def _scatter(mesh, indptr, constrained, blocks, constraints, dtype):
         # the entries that block row r keeps, where each lands in block
         # column 0, and its row's length, by which each next column shifts it
         kept = np.arange(row.size)
-        if constrained and r < 2:
+        if r < 2:
             kept = kept[~mesh.boundary_mask[row]]
         first = kept + (indptr[r * n:(r + 1) * n] - p1_indptr[:-1])[row[kept]]
         shift = length[row[kept]]
         for c in range(3):
             out[first + c * shift] = blocks(r, c)[kept]
-    if constrained:
-        diagonal, column, multiplier_row = constraints
-        out[indptr[:2 * n][np.tile(mesh.boundary_mask, 2)]] = diagonal
-        out[indptr[2 * n + 1:3 * n + 1] - 1] = column
-        out[indptr[3 * n]:] = multiplier_row
+    diagonal, column, multiplier_row = constraints
+    out[indptr[:2 * n][np.tile(mesh.boundary_mask, 2)]] = diagonal
+    out[indptr[2 * n + 1:3 * n + 1] - 1] = column
+    out[indptr[3 * n]:] = multiplier_row
     return out
 
 
-def _system_pattern(mesh, constrained):
+def _system_pattern(mesh):
     """Read-only CSR (indptr, indices) of the blocked [u1 | u2 | p] system:
-    row r*n + v holds vertex v's P1 row in each of the three block columns.
-    When ``constrained``, a Dirichlet row (either velocity component of a
-    boundary vertex, as ``build_dofmap`` lays them out) holds only its
-    diagonal, a pressure row ends with the multiplier column, and the
-    multiplier row holds every pressure column."""
+    row r*n + v holds vertex v's P1 row in each of the three block columns,
+    except that a Dirichlet row (either velocity component of a boundary
+    vertex, as ``build_dofmap`` lays them out) holds only its diagonal, a
+    pressure row ends with the multiplier column, and the multiplier row
+    holds every pressure column."""
     p1_indptr, p1_indices, _ = mesh.table("p1_pattern", _p1_pattern)
     n = mesh.n_vertices
     dirichlet = np.tile(mesh.boundary_mask, 2)
     size = np.tile(3 * np.diff(p1_indptr), 3)
-    if constrained:
-        size[:2 * n][dirichlet] = 1
-        size[2 * n:] += 1
-        size = np.append(size, n)
-    dtype = np.int32 if size.sum() < 2 ** 31 else np.int64  # as scipy would choose
+    size[:2 * n][dirichlet] = 1
+    size[2 * n:] += 1
+    size = np.append(size, n)
+    dtype = np.int32 if size.sum() < 2 ** 31 else np.int64
     indptr = np.concatenate([[0], np.cumsum(size)]).astype(dtype)
-    indices = _scatter(mesh, indptr, constrained, lambda r, c: c * n + p1_indices,
+    indices = _scatter(mesh, indptr, lambda r, c: c * n + p1_indices,
                        (np.flatnonzero(dirichlet), 3 * n, 2 * n + np.arange(n)), dtype)
     for arr in (indptr, indices):
         arr.setflags(write=False)
     return indptr, indices
 
 
-def assemble_system(mesh, dofmap, block, constrained=True):
-    """The blocked [u1 | u2 | p] system whose block (r, c) is
-    ``assemble_matrix(mesh, block(r, c))``, bitwise, as one CSR matrix.
+def assemble_system(mesh, dofmap, block):
+    """The constrained blocked [u1 | u2 | p] system whose block (r, c) is
+    ``assemble_matrix(mesh, block(r, c))``, bitwise, as one CSR matrix,
+    with identity rows on the Dirichlet dofs and the mean-pressure
+    multiplier row and column, ``dofmap.mean_vector``, appended.
 
     ``block(r, c)`` returns element matrices (m, 3, 3) and is called one
     block at a time, so only one of them is alive at once; each block's
     sums go straight into the data array, and the index arrays are the
-    mesh's, shared by every system assembled on it.  When ``constrained``,
-    the Dirichlet rows are identity rows and the mean-pressure multiplier
-    row and column, ``dofmap.mean_vector``, are appended.
+    mesh's, shared by every system assembled on it.
     """
-    indptr, indices = mesh.table(("system_pattern", constrained),
-                                 lambda m: _system_pattern(m, constrained))
-    data = _scatter(mesh, indptr, constrained,
-                    lambda r, c: assemble_matrix(mesh, block(r, c)).data,
+    indptr, indices = mesh.table("system_pattern", _system_pattern)
+    data = _scatter(mesh, indptr, lambda r, c: assemble_matrix(mesh, block(r, c)).data,
                     (1.0, dofmap.mean_vector, dofmap.mean_vector), float)
     return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 

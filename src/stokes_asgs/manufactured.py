@@ -25,10 +25,16 @@ error rho0 = I_h f0 - f0 it expands exactly into a quadratic form,
                                                    C = ||rho0||^2,
 
 with the P1 mass matrix M; the H1 seminorm uses the stiffness matrix K with
-b_i = (grad rho0, grad l_i) and C = ||grad rho0||^2.  The observer integrates
-b and C, and the forcing factor's element moments, once per mesh at the
-degree-8 error points; a time level then costs a few sparse products on
-nodal vectors.
+b_i = (grad rho0, grad l_i) and C = ||grad rho0||^2.  So is the indicator's
+h^2-weighted ||R1||^2, R1 = c f0 - du_h - grad p_h with the interval's
+forcing weight c: with s = f0 - grad I_h p0 it is R1 = c s - L y, where
+L y = y_u,h + grad y_p,h, in the nodal error y = (du, p) - c (0, p0(x_i)),
+so A = L^T L (``_BlockMatrix``), b = -L^T s and C = ||s||^2, all
+h^2-weighted.  The pressure is expanded about c p0, as f cancels against
+grad p_h, and du about 0, so a small residual keeps its digits however far
+the state is from the exact fields.  The observer integrates every b and C
+once per mesh at the degree-8 error points; a time level then costs a few
+sparse products on nodal vectors.
 """
 
 import math
@@ -134,65 +140,14 @@ def _fold(acc, parts, dt):
     acc.div_l2l2_sq += dt * parts["div_l2"]
 
 
-ForcingMoments = namedtuple("ForcingMoments", "lam sq")
-ForcingMoments.__doc__ = """Element moments of a forcing f at the error points:
-lam[k, i] = int_k f l_i, shape (m, 3, 2), and the centred
-sq[k] = int_k |f - fbar_k|^2, shape (m,), about the element mean
-fbar_k = sum_i lam[k, i] / a_k."""
-
-
-def _moments(mesh, f):
-    """``ForcingMoments`` of the values ``f`` (m, nq, 2) at the error points."""
-    rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    wa = (mesh.areas[:, None] * rule.weights)[..., None]
-    lam = rule.points.T @ (wa * f)
-    dev = f - (np.einsum("kic->kc", lam) / mesh.areas[:, None])[:, None]
-    return ForcingMoments(lam, np.einsum("kqc,kqc->k", wa * dev, dev))
-
-
-def forcing_moments(mesh, forcing_fn, t_n, dt, theta):
-    """``ForcingMoments`` of the interval forcing
-    f_mid = alpha*f(t_n + dt) + (1-alpha)*f(t_n), evaluated pointwise."""
-    pts = mesh.quad_points(quadrature_rule(ERROR_QUAD_DEGREE))
-    alpha = 0.5 * (1 + theta)
-    f = asgs_core._forcing_at(forcing_fn, pts, t_n + dt)
-    if alpha != 1:  # backward Euler gives f(t_n) no weight
-        f = alpha * f + (1 - alpha) * asgs_core._forcing_at(forcing_fn, pts, t_n)
-    return _moments(mesh, f)
-
-
-def residual_indicator(state_n, state_np1, mesh, dt, div_mid, moments):
-    """Residual error indicator for one interval.
-
-    eta_k^2 = h_k^2 ||R1||_{0,k}^2 + ||R2||_{0,k}^2 with the subscale-free
-    residuals R1 = f - (du_h/dt + grad p_h) (no Laplacian for P1) and
-    R2 = -div u_h, both at the (n, theta) level; ``div_mid`` is the
-    elementwise interval divergence (``_theta_divergence``) and ``moments``
-    the ``ForcingMoments`` of the interval forcing f.  With du = (u^{n+1} - u^n)/dt
-    nodal and grad p_h constant, ||R1||_k^2 is in closed form, expanded
-    about the element constant g = fbar - grad p_h (fbar the element mean
-    of f) so that a small residual keeps its digits:
-    int|f - fbar|^2 - 2 sum_i du_i . (int f l_i - (a/3) fbar)
-    + a |g|^2 - (2a/3) g . sum_i du_i + du^T M_k du; a value that rounding
-    takes below zero counts as zero.  Returns (eta_k, eta).
-    """
-    tri, a, lam = mesh.triangles, mesh.areas, moments.lam
-    du = np.take(np.stack([state_np1.u1 - state_n.u1,
-                           state_np1.u2 - state_n.u2], axis=-1) / dt, tri, axis=0)
-    gradp = np.einsum("ki,kid->kd", np.take(state_np1.p, tri), mesh.shape_gradients)
-    du_sum = np.einsum("kic->kc", du)
-    lam_sum = np.einsum("kic->kc", lam)  # a * fbar
-    g = lam_sum / a[:, None] - gradp
-    r1_sq = (moments.sq
-             - 2.0 * np.einsum("kic,kic->k", du, lam - lam_sum[:, None] / 3.0)
-             + a * np.einsum("kc,kc->k", g, g - 2.0 / 3.0 * du_sum)
-             + a / 12.0 * (np.einsum("kic,kic->k", du, du)
-                           + np.einsum("kc,kc->k", du_sum, du_sum)))
-    r1_sq = np.maximum(r1_sq, 0.0)
-    r2_sq = a * div_mid ** 2
-
-    eta_k_sq = mesh.diameters ** 2 * r1_sq + r2_sq
-    return np.sqrt(eta_k_sq), float(np.sqrt(eta_k_sq.sum()))
+def residual_indicator(form, values, c, div_sq):
+    """Residual error indicator of one interval, eta^2 = sum_k h_k^2
+    ||R1||_k^2 + ||R2||^2, with the subscale-free residuals R1 = c f0 - du_h
+    - grad p_h (no Laplacian for P1) and R2 = -div u_h at the (n, theta)
+    level: the R1 part from the residual ``form`` of the nodal ``values``
+    (du, p), shape (n, 3), and the forcing's weight ``c``, and
+    ``div_sq`` = ||R2||^2."""
+    return math.sqrt(form.square(form.error(values, c), c) + div_sq)
 
 
 @dataclass
@@ -254,8 +209,7 @@ class LevelResult:
 
     The sums are nonnegative and nondecreasing; ``u_max_l2_sq`` is the
     largest squared snapshot L2 velocity error seen so far (the max part of
-    the velocity norm squared).  ``steps`` holds the per-step records when
-    collected.
+    the velocity norm squared).  ``steps`` holds one record per step.
     """
 
     nx: int
@@ -300,7 +254,8 @@ class LevelResult:
 
 class _SquareForm:
     """||v_h - c*f0||^2 of a P1 field with nodal values v, shape (n, d), as
-    e^T A e + 2c e.b + c^2 C in the nodal error e = v - c*f0(x_i)."""
+    e^T A e + 2c e.b + c^2 C in the nodal error e = v - c*f0(x_i); the
+    indicator's R1 part has the same shape (module docstring)."""
 
     def __init__(self, matrix, nodal, b, C):
         self.matrix, self.nodal, self.b, self.C = matrix, nodal, b, C
@@ -314,17 +269,32 @@ class _SquareForm:
         return max(value, 0.0)  # rounding below zero is zero
 
 
-_Forms = namedtuple("_Forms", "velocity gradient pressure forcing")
+class _BlockMatrix:
+    """L^T L for L y = y_u,h + grad y_p,h in the h^2-weighted L2 product,
+    applied to nodal y, shape (n, 3), block by block from the four P1
+    matrices ``mass``, ``div1``, ``div2`` and ``stiff``: no 3n x 3n matrix
+    is formed."""
+
+    def __init__(self, mass, div1, div2, stiff):
+        self.mass, self.div1, self.div2, self.stiff = mass, div1, div2, stiff
+
+    def __matmul__(self, y):
+        u1, u2, p = y.T
+        return np.stack([self.mass @ u1 + self.div1 @ p, self.mass @ u2 + self.div2 @ p,
+                         self.div1.T @ u1 + self.div2.T @ u2 + self.stiff @ p], axis=-1)
+
+
+_Forms = namedtuple("_Forms", "velocity gradient pressure residual")
 
 
 def _error_forms(mesh, exact, forcing_fn):
-    """Per-mesh forms of the velocity L2 and H1-seminorm errors and the
-    pressure L2 error, and the forcing factor's ``ForcingMoments``, from the
-    t = 0 factors of the separable ``exact`` fields and ``forcing_fn``."""
+    """Per-mesh forms of the velocity L2 and H1-seminorm errors, the
+    pressure L2 error and the indicator's R1 part, from the t = 0 factors
+    of the separable ``exact`` fields and ``forcing_fn``."""
     rule = quadrature_rule(ERROR_QUAD_DEGREE)
     pts = mesh.quad_points(rule)
     tri = mesh.triangles
-    _, g, mass, stiff, _ = asgs_core._element_tables(mesh)
+    _, g, mass, stiff, div = asgs_core._element_tables(mesh)
     wa = (mesh.areas[:, None] * rule.weights)[..., None]  # (m, nq, 1)
 
     def factor(fn, where):  # fn(x, y, 0) at ``where`` (..., 2), stacked to (..., d)
@@ -339,7 +309,18 @@ def _error_forms(mesh, exact, forcing_fn):
         w_rho = wa * rho
         l2.append(_SquareForm(M, nodal, assemble_vector(mesh, rule.points.T @ w_rho),
                               float(np.einsum("kqd,kqd->", w_rho, rho))))
-    nodal = l2[0].nodal
+    nodal, p0 = l2[0].nodal, l2[1].nodal
+    # R1 = c s - L y with s = f0 - grad I_h p0, h^2-weighted
+    h2 = (mesh.diameters ** 2)[:, None, None]
+    s = factor(forcing_fn, pts) - np.matmul(p0[tri].transpose(0, 2, 1), g)  # (m, nq, 2)
+    w_s = h2 * wa * s
+    lam = rule.points.T @ w_s  # (m, 3, 2); its sum over i integrates h^2 s
+    b = np.hstack([assemble_vector(mesh, lam),
+                   assemble_vector(mesh, np.einsum("kic,kc->ki", g, lam.sum(axis=1)))[:, None]])
+    residual = _SquareForm(_BlockMatrix(*(assemble_matrix(mesh, h2 * t) for t in
+                                          (mass, div[:, 0], div[:, 1], stiff))),
+                           np.hstack([np.zeros_like(nodal), p0]), -b,
+                           float(np.einsum("kqd,kqd->", w_s, s)))
     # grad rho0[k, q, d, e] = d(rho0_d)/dx_e: constant grad I_h f0 minus grad f0
     grad_rho = (np.matmul(nodal[tri].transpose(0, 2, 1), g)[:, None]
                 - factor(exact_gu, pts).reshape(pts.shape[:2] + (2, 2)))
@@ -347,7 +328,7 @@ def _error_forms(mesh, exact, forcing_fn):
     gradient = _SquareForm(assemble_matrix(mesh, stiff), nodal,
                            assemble_vector(mesh, g @ grad_int.transpose(0, 2, 1)),
                            float(np.einsum("kq,kqde,kqde->", wa[..., 0], grad_rho, grad_rho)))
-    return _Forms(l2[0], gradient, l2[1], _moments(mesh, factor(forcing_fn, pts)))
+    return _Forms(l2[0], gradient, l2[1], residual)
 
 
 # one time level: its state, exp(-t), nodal velocity error and squared L2 error
@@ -355,27 +336,26 @@ _Level = namedtuple("_Level", "state c error l2_sq")
 
 
 class _VerificationObserver:
-    """Accumulates error norms and the indicator along the time loop.
+    """Accumulates error norms and the indicator, and one record per step,
+    along the time loop.
 
-    Every norm is a ``_SquareForm`` of nodal errors (see the module
-    docstring); the forms are built on the first n = 0 call on a mesh,
-    inside the time loop, and kept on ``Mesh.table`` for later solves on
-    it; no array at the error points is made after that.  A level keeps its
-    nodal velocity error, which Crank-Nicolson weights at t_n: the interval
-    error is that of alpha*e^{n+1} + (1-alpha)*e^n with the weight
-    alpha*c^{n+1} + (1-alpha)*c^n, the same combination that scales the
-    forcing moments for the indicator.  Pressure is weighted by
-    exp(-(t_n + alpha*dt)).
+    Every norm and the indicator's R1 part is a form in nodal errors (see the
+    module docstring); the forms are built on the first n = 0 call on a
+    mesh, inside the time loop, and kept on ``Mesh.table`` for later solves
+    on it.  A level keeps its nodal velocity error e: the interval error is
+    that of alpha*e^{n+1} + (1-alpha)*e^n with the weight
+    c_f = alpha*c^{n+1} + (1-alpha)*c^n, which also weights the forcing in
+    R1 of du = (u^{n+1} - u^n)/dt and p^{n+1}.  The pressure error is
+    weighted by c_p = exp(-(t_n + alpha*dt)).
     """
 
-    def __init__(self, mesh, scheme, forcing_fn, exact, collect_steps=False):
+    def __init__(self, mesh, scheme, forcing_fn, exact):
         self.mesh = mesh
         self.scheme = scheme
         self.forcing_fn = forcing_fn
         self.exact = exact
         self.forms = None
         self.result = LevelResult(mesh.nx, scheme.dt, scheme.theta)
-        self.collect_steps = collect_steps
         self._prev = None
 
     def __call__(self, n, state, subscale):
@@ -403,24 +383,22 @@ class _VerificationObserver:
                 forms.pressure.error(state.p[:, None], c_p), c_p),
             "div_l2": float(np.sum(self.mesh.areas * div_mid ** 2)),
         }
-        moments = ForcingMoments(c_mid * forms.forcing.lam,
-                                 c_mid ** 2 * forms.forcing.sq)
-        _, eta = residual_indicator(prev.state, state, self.mesh, dt, div_mid,
-                                    moments)
+        values = np.stack([(state.u1 - prev.state.u1) / dt,
+                           (state.u2 - prev.state.u2) / dt, state.p], axis=-1)
+        eta = residual_indicator(forms.residual, values, c_mid, parts["div_l2"])
         _fold(self.result, parts, dt)
         self.result.eta_sq += dt * eta ** 2
-        if self.collect_steps:
-            self.result.steps.append({
-                "step": n, "t": state.t,
-                "err_u_l2": math.sqrt(parts["mid_l2"]),
-                "err_u_h1": math.sqrt(parts["mid_h1"]),
-                "err_p_l2": math.sqrt(parts["p_l2"]),
-                "eta": eta,
-            })
+        self.result.steps.append({
+            "step": n, "t": state.t,
+            "err_u_l2": math.sqrt(parts["mid_l2"]),
+            "err_u_h1": math.sqrt(parts["mid_h1"]),
+            "err_p_l2": math.sqrt(parts["p_l2"]),
+            "eta": eta,
+        })
 
 
 def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
-                           stabilized=True, collect_steps=False):
+                           stabilized=True):
     """Solve the manufactured problem and return a LevelResult.
 
     The initial velocity is the nodal interpolant of the exact solution at
@@ -429,11 +407,10 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=count_steps(t_final, dt))
     mesh = build_unit_square_mesh(nx)
     return _verification_solve(mesh, build_dofmap(mesh), scheme, mu, c1, c2,
-                               stabilized, collect_steps)
+                               stabilized)
 
 
-def _verification_solve(mesh, dofmap, scheme, mu, c1, c2, stabilized,
-                        collect_steps=False):
+def _verification_solve(mesh, dofmap, scheme, mu, c1, c2, stabilized):
     """``run_verification_solve`` on a given mesh and its dofmap."""
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff,
                                           stabilized=stabilized)
@@ -443,8 +420,7 @@ def _verification_solve(mesh, dofmap, scheme, mu, c1, c2, stabilized,
     u2_0 = interpolate(lambda x, y: exact_velocity(x, y, 0.0)[1], mesh)
     initial = FieldState(u1=u1_0, u2=u2_0, p=np.zeros(mesh.n_vertices), t=0.0)
 
-    observer = _VerificationObserver(mesh, scheme, forcing_fn, DEFAULT_EXACT,
-                                     collect_steps=collect_steps)
+    observer = _VerificationObserver(mesh, scheme, forcing_fn, DEFAULT_EXACT)
     asgs_core.solve_transient(mesh, dofmap, scheme, params, forcing_fn,
                               initial, observer=observer)
     return observer.result

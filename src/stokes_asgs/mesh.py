@@ -46,14 +46,11 @@ class Mesh:
         """Physical coordinates of a quadrature rule on every element.
 
         Returns an array of shape (n_triangles, n_points, 2), each coordinate
-        slice contiguous; the result is cached per rule degree.
+        slice contiguous, computed on each call: its callers keep what they
+        derive from it per mesh, not the points.
         """
-        def build(mesh):
-            corners = mesh.vertices[mesh.triangles].transpose(2, 0, 1)  # (2, m, 3)
-            pts = (corners @ rule.points.T).transpose(1, 2, 0)
-            pts.setflags(write=False)
-            return pts
-        return self.table(("quad_points", rule.degree), build)
+        corners = self.vertices[self.triangles].transpose(2, 0, 1)  # (2, m, 3)
+        return (corners @ rule.points.T).transpose(1, 2, 0)
 
 
 def build_unit_square_mesh(nx):

@@ -513,11 +513,10 @@ def test_reduced_step_matrix_symmetric_after_scaling_continuity(nx, mu, c1, c2, 
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(K).max()
 
 
-# nnz of the constrained and the raw step matrix: the vertex pairs that
-# share an element, in all nine blocks, plus the multiplier border; the
-# exact zeros of the P1 stiffness on the diagonal edges stay stored
-_STEP_MATRIX_NNZ = {1: (58, 126), 2: (199, 369), 10: (6007, 6849),
-                    40: (101887, 102969)}
+# nnz of the step matrix: the vertex pairs that share an element, in all
+# nine blocks, less the Dirichlet rows' off-diagonals, plus the multiplier
+# border; the exact zeros of the P1 stiffness on the diagonal edges stay stored
+_STEP_MATRIX_NNZ = {1: 58, 2: 199, 10: 6007, 40: 101887}
 
 
 @pytest.mark.parametrize("nx", sorted(_STEP_MATRIX_NNZ))
@@ -529,22 +528,18 @@ def test_step_matrix_pattern_counts(nx):
         for stabilized in (True, False):
             params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                                   stabilized=stabilized)
-            counts = tuple(assemble_lhs(mesh, dofmap, scheme, params,
-                                        constrained=c).n_nonzeros for c in (True, False))
-            assert counts == _STEP_MATRIX_NNZ[nx]
+            assert assemble_lhs(mesh, dofmap, scheme, params).n_nonzeros == _STEP_MATRIX_NNZ[nx]
             if nx == 40 and stabilized:
                 matrix = assemble_lhs(mesh, dofmap, scheme, params)
                 factor = ReducedFactor(matrix, dofmap)
                 assert matrix.csr[factor.kept][:, factor.kept].nnz == 95366
 
 
-def _bmat_reference(mesh, dofmap, block, constrained=True):
+def _bmat_reference(mesh, dofmap, block):
     """The step matrix joined by ``sp.bmat`` from the nine assembled blocks,
     with the Dirichlet rows cut to identity rows afterwards: the
     construction that ``fem_space.assemble_system`` replaced."""
     K = [[assemble_matrix(mesh, block(r, c)) for c in range(3)] for r in range(3)]
-    if not constrained:
-        return linalg.SparseMatrix(sp.bmat(K, format="csr")).csr
     mean = sp.csr_matrix(dofmap.mean_vector[:, None])
     K = sp.bmat([K[0] + [None], K[1] + [None], K[2] + [mean], [None, None, mean.T, None]],
                 format="csr")
@@ -558,18 +553,18 @@ def _bmat_reference(mesh, dofmap, block, constrained=True):
 
 @settings(max_examples=40, deadline=None)
 @given(nx=st.integers(1, 8), theta=st.sampled_from([0, 1]), dt=st.floats(1e-3, 10.0),
-       stabilized=st.booleans(), constrained=st.booleans())
-def test_step_matrix_equals_bmat_reference(nx, theta, dt, stabilized, constrained):
+       stabilized=st.booleans())
+def test_step_matrix_equals_bmat_reference(nx, theta, dt, stabilized):
     # written in place, the step matrix is bitwise the joined one
     mesh = build_unit_square_mesh(nx)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                           stabilized=stabilized)
-    got = assemble_lhs(mesh, dofmap, scheme, params, constrained).csr
+    got = assemble_lhs(mesh, dofmap, scheme, params).csr
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asgs_core, "assemble_system", _bmat_reference)
-        want = assemble_lhs(mesh, dofmap, scheme, params, constrained).csr
+        want = assemble_lhs(mesh, dofmap, scheme, params).csr
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -756,13 +751,23 @@ def test_diagnostics_refuse_over_factor_budget(monkeypatch):
         assert str(linalg.FACTOR_ENTRY_BYTES * linalg.predicted_fill(rows)) in str(info.value)
 
 
+def _raw_block(mesh, dofmap, scheme, params):
+    """The dense step matrix without the multiplier, with its Dirichlet rows
+    and columns zeroed: the raw operator on the free dofs, zero elsewhere."""
+    A = assemble_lhs(mesh, dofmap, scheme, params).to_dense()[:dofmap.multiplier_index,
+                                                              :dofmap.multiplier_index]
+    A[dofmap.dirichlet_dofs] = A[:, dofmap.dirichlet_dofs] = 0.0
+    return A
+
+
 def _coercivity_null_space_reference(mesh, dofmap, params, dt):
-    """Reference S: the whole raw operator densified and projected on an
+    """Reference S: the step matrix's velocity and pressure rows and columns
+    densified, whose free-dof block is the raw operator, and projected on an
     SVD basis of the admissible directions, free velocities first."""
     import scipy.linalg
     n_u, n_p = dofmap.n_u, dofmap.n_p
     scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
-    A = assemble_lhs(mesh, dofmap, scheme, params, constrained=False).to_dense()
+    A = _raw_block(mesh, dofmap, scheme, params)
     free_vel = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
     null_p = scipy.linalg.null_space(dofmap.mean_vector[None, :])
     Z = np.zeros((2 * n_u + n_p, free_vel.size + null_p.shape[1]))
@@ -796,8 +801,7 @@ def test_coercivity_blocks_split_the_symmetric_operator(nx, mu, c1, c2, dt, stab
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, dt_eff=dt,
                                           stabilized=stabilized)
-    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params,
-                     constrained=False).to_dense()
+    A = _raw_block(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params)
     S = 0.5 * (A + A.T)
     free_vel = np.setdiff1d(np.arange(2 * dofmap.n_u), dofmap.dirichlet_dofs)
     assert np.abs(S[np.ix_(free_vel, np.arange(2 * dofmap.n_u, S.shape[0]))]).max(

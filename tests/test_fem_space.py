@@ -195,6 +195,18 @@ def test_assembly_forms_equal_element_loop(nx, keep, zeros, seed):
     assert assemble_vector(mesh, vec2).shape == (n, 2)
 
 
+def test_assembled_matrices_share_the_mesh_pattern():
+    # every matrix assembled on a mesh holds the mesh's read-only int32
+    # index arrays, not copies of them
+    mesh = build_unit_square_mesh(4)
+    mat = np.random.default_rng(3).standard_normal((mesh.n_triangles, 3, 3))
+    A, B = assemble_matrix(mesh, mat), assemble_matrix(mesh, 2.0 * mat)
+    for name in ("indptr", "indices"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == np.int32 and np.shares_memory(a, b)
+        assert not a.flags.writeable
+
+
 @settings(max_examples=30, deadline=None)
 @given(nx=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_nested_dissection_ends_with_a_separating_grid_line(nx, seed):

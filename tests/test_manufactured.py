@@ -15,8 +15,7 @@ from stokes_asgs.manufactured import (DEFAULT_EXACT, ERROR_QUAD_DEGREE,
                                       _theta_divergence,
                                       _VerificationObserver, exact_pressure,
                                       exact_velocity, exact_velocity_gradient,
-                                      forcing, forcing_moments, rate_table,
-                                      residual_indicator,
+                                      forcing, rate_table,
                                       run_verification_solve)
 
 MU = 0.1
@@ -204,12 +203,12 @@ _FZERO = lambda x, y, t: (0.0 * x, 0.0 * x)
 
 def _observer(mesh, theta, dt, n_steps, exact=DEFAULT_EXACT, forcing_fn=_FZERO):
     return _VerificationObserver(mesh, TimeScheme(theta=theta, dt=dt, n_steps=n_steps),
-                                 forcing_fn, exact, collect_steps=True)
+                                 forcing_fn, exact)
 
 
-def _observe(mesh, states, theta, dt, exact=DEFAULT_EXACT):
+def _observe(mesh, states, theta, dt, exact=DEFAULT_EXACT, forcing_fn=_FZERO):
     """The observer's accumulated norms over the given time levels."""
-    obs = _observer(mesh, theta, dt, len(states) - 1, exact)
+    obs = _observer(mesh, theta, dt, len(states) - 1, exact, forcing_fn)
     for n, state in enumerate(states):
         obs(n, state, None)
     return obs.result
@@ -303,12 +302,8 @@ def test_forms_equal_pointwise_sums(nx, theta, t, seed):
                  "div_l2l2_sq"):
         assert getattr(obs.result, name) == pytest.approx(getattr(want, name),
                                                           rel=1e-12, abs=0.0)
-    moments = forcing_moments(mesh, fn, t, dt, theta)
-    div_mid = _theta_divergence(mesh, *states, 0.5 * (1 + theta))
-    eta_k, eta = residual_indicator(*states, mesh, dt, div_mid, moments)
-    ref_k, ref = _reference_indicator(*states, mesh, dt, theta, fn)
-    assert np.abs(eta_k - ref_k).max() <= 1e-12 * ref_k.max()
-    assert eta == pytest.approx(ref, rel=1e-12, abs=0.0)
+    _, ref = _reference_indicator(*states, mesh, dt, theta, fn)
+    assert obs.result.eta_sq == pytest.approx(dt * ref ** 2, rel=1e-12, abs=0.0)
     assert obs.result.steps[0]["eta"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -353,18 +348,35 @@ def test_p1_exact_interpolant_has_zero_error(nx, theta, t):
         assert 0.0 <= sq <= 1e-28
     assert acc.total <= 1e-14
     # with u_h = 0 and p_h the interpolant of c_mid * p0, the forcing grad p
-    # leaves a zero momentum residual; expanded about the element mean of
-    # f - grad p_h, the square is zero to rounding itself, never NaN
+    # leaves a zero momentum residual; expanded about (du, p) = (0, c_mid*p0),
+    # the form's nodal errors are zero and its square is zero to rounding
+    # itself, never NaN
     c_mid = alpha * math.exp(-t - dt) + (1 - alpha) * math.exp(-t)
     z = np.zeros(mesh.n_vertices)
     p_h = c_mid * interpolate(lambda x, y: _linear(_P1_P, x, y, 0.0), mesh)
     grad_p = lambda x, y, t: (np.exp(-t) * _P1_P[1] + 0.0 * x,
                               np.exp(-t) * _P1_P[2] + 0.0 * x)
-    eta_k, eta = residual_indicator(FieldState(z, z, z, t), FieldState(z, z, p_h, t + dt),
-                                    mesh, dt, np.zeros(mesh.n_triangles),
-                                    forcing_moments(mesh, grad_p, t, dt, theta))
-    assert np.all(np.isfinite(eta_k)) and eta_k.min() >= 0.0
+    eta = _observe(mesh, [FieldState(z, z, z, t), FieldState(z, z, p_h, t + dt)], theta,
+                   dt, exact=_P1_EXACT, forcing_fn=grad_p).steps[0]["eta"]
     assert eta <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 8), theta=st.sampled_from([0, 1]),
+       t=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_residual_form_is_an_identity(nx, theta, t, seed):
+    # the form expands the indicator about (du, p) = (0, c*p0(x_i)) and the
+    # field f0 - grad I_h p0; with P1 exact fields and a forcing unrelated
+    # to them it must still give the pointwise indicator for any nodal states
+    mesh = build_unit_square_mesh(nx)
+    rng = np.random.default_rng(seed)
+    dt = 0.1
+    states = [FieldState(*rng.standard_normal((3, mesh.n_vertices)), t + i * dt)
+              for i in range(2)]
+    fn = manufactured.ManufacturedForcing(MU)
+    eta = _observe(mesh, states, theta, dt, exact=_P1_EXACT, forcing_fn=fn).steps[0]["eta"]
+    assert eta == pytest.approx(_reference_indicator(*states, mesh, dt, theta, fn)[1],
+                                rel=1e-12, abs=0.0)
 
 
 def test_square_form_clamps_rounding_below_zero():
@@ -400,46 +412,27 @@ def test_linear_field_kernels_exact():
 # ------------------------------------------------- residual indicator
 
 def test_indicator_zero_divergence_contribution():
-    # constant-in-time interpolant of a divergence-free field with exactly
-    # matching forcing: R2 = 0 elementwise for any nodal field that is
-    # globally constant, so eta reduces to the h-weighted R1 part
+    # constant-in-time field with zero forcing and zero exact fields: R2 = 0
+    # elementwise for any nodal field that is globally constant, so eta
+    # reduces to the h-weighted R1 part, here zero
     mesh = build_unit_square_mesh(3)
     n = mesh.n_vertices
     c = np.full(n, 0.8)
     z = np.zeros(n)
-    state = FieldState(c, z, z, 0.0)
-    state2 = FieldState(c, z, z, 0.1)
-    moments = forcing_moments(mesh, _FZERO, 0.0, 0.1, 1)
-    div_mid = _theta_divergence(mesh, state, state2, 1.0)
-    eta_k, eta = residual_indicator(state, state2, mesh, 0.1, div_mid, moments)
-    assert eta == pytest.approx(0.0, abs=1e-15)
+    acc = _observe(mesh, [FieldState(c, z, z, 0.0), FieldState(c, z, z, 0.1)], 1, 0.1,
+                   exact=_ZERO_EXACT)
+    assert acc.steps[0]["eta"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_indicator_decreases_with_h_for_interpolant():
     etas = {}
     for nx in (10, 20, 40):
         mesh = build_unit_square_mesh(nx)
-        prev = _interp_state(mesh, 0.0)
-        cur = _interp_state(mesh, 0.1)
-        fn = lambda x, y, t: forcing(x, y, t, MU)
-        _, eta = residual_indicator(prev, cur, mesh, 0.1,
-                                    _theta_divergence(mesh, prev, cur, 1.0),
-                                    forcing_moments(mesh, fn, 0.0, 0.1, 1))
-        etas[nx] = eta
+        acc = _observe(mesh, [_interp_state(mesh, 0.0), _interp_state(mesh, 0.1)], 1, 0.1,
+                       forcing_fn=lambda x, y, t: forcing(x, y, t, MU))
+        etas[nx] = acc.steps[0]["eta"]
     assert etas[20] < etas[10]
     assert etas[40] < etas[20]
-
-
-def test_indicator_shape_and_total():
-    mesh = build_unit_square_mesh(5)
-    prev = _interp_state(mesh, 0.0)
-    cur = _interp_state(mesh, 0.1)
-    fn = lambda x, y, t: forcing(x, y, t, MU)
-    eta_k, eta = residual_indicator(prev, cur, mesh, 0.1,
-                                    _theta_divergence(mesh, prev, cur, 1.0),
-                                    forcing_moments(mesh, fn, 0.0, 0.1, 1))
-    assert eta_k.shape == (mesh.n_triangles,)
-    assert eta == pytest.approx(np.sqrt((eta_k ** 2).sum()), rel=1e-13)
 
 
 # ----------------------------------------------- verification observer
@@ -450,8 +443,7 @@ def test_indicator_shape_and_total():
 def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
     # the observer's quadratic forms must give the norms and eta of the
     # pointwise reference folded over the kept history of the same solve
-    res = run_verification_solve(nx, dt, theta, n_steps * dt,
-                                 collect_steps=True)
+    res = run_verification_solve(nx, dt, theta, n_steps * dt)
     mesh = build_unit_square_mesh(nx)
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=n_steps)
     params = StabilizationParams.for_mesh(mesh, MU, 4.0, 2.0, scheme.dt_eff)
@@ -478,7 +470,7 @@ def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
 
 
 def test_verification_solve_bitwise_deterministic():
-    runs = [run_verification_solve(4, 0.1, theta, 0.3, collect_steps=True)
+    runs = [run_verification_solve(4, 0.1, theta, 0.3)
             for theta in (0, 1) for _ in range(2)]
     # LevelResult equality compares every norm and the per-step records
     assert runs[0] == runs[1] and runs[2] == runs[3]
@@ -487,8 +479,9 @@ def test_verification_solve_bitwise_deterministic():
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(2, 8), t=st.floats(0.0, 2.0))
 def test_observer_field_cache_matches_closed_forms(nx, t):
-    # the observer scales the nodal factors and forcing moments it builds
-    # once per mesh by exp(-t); they must match the fields evaluated at t
+    # the observer scales the nodal factors and the residual form's field
+    # s = f0 - grad I_h p0 it builds once per mesh by exp(-t); they must
+    # match the fields evaluated at t
     mesh = build_unit_square_mesh(nx)
     fn = lambda x, y, t: forcing(x, y, t, MU)
     obs = _observer(mesh, 1, 0.1, 1, forcing_fn=fn)
@@ -497,26 +490,31 @@ def test_observer_field_cache_matches_closed_forms(nx, t):
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     c = math.exp(-t)
     for cached, want in ((obs.forms.velocity.nodal, np.stack(exact_velocity(x, y, t), -1)),
-                         (obs.forms.pressure.nodal[:, 0], exact_pressure(x, y, t))):
+                         (obs.forms.pressure.nodal[:, 0], exact_pressure(x, y, t)),
+                         (obs.forms.residual.nodal[:, 2], exact_pressure(x, y, t))):
         assert cached.shape == want.shape
         assert np.abs(c * cached - want).max() <= 1e-14 * np.abs(want).max()
-    want = forcing_moments(mesh, fn, t - 0.1, 0.1, 1)  # f at t_n + dt = t
-    for cached, closed, scale in zip(obs.forms.forcing, want, (c, c * c)):
-        assert cached.shape == closed.shape
-        assert np.abs(scale * cached - closed).max() <= 1e-14 * np.abs(closed).max()
+    rule = quadrature_rule(ERROR_QUAD_DEGREE)
+    pts = mesh.quad_points(rule)
+    tri, g = mesh.triangles, mesh.shape_gradients
+    s = (np.stack(fn(pts[..., 0], pts[..., 1], t), -1)
+         - np.einsum("ki,kid->kd", exact_pressure(x, y, t)[tri], g)[:, None])
+    want = float(np.einsum("k,kqd,kqd->", mesh.diameters ** 2 * mesh.areas,
+                           s * rule.weights[:, None], s))
+    assert not obs.forms.residual.nodal[:, :2].any()
+    assert c * c * obs.forms.residual.C == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("theta,extra", [(1, 1), (0, 2)])
-def test_forcing_evaluated_once_per_level(monkeypatch, theta, extra):
+@pytest.mark.parametrize("theta", [1, 0])
+def test_forcing_evaluated_once_per_level(monkeypatch, theta):
     # the solver and the observer each evaluate the separable forcing once
-    # per mesh, within a bound of one evaluation per time level (t_0
-    # included only under Crank-Nicolson)
+    # per mesh, at t = 0, whatever the number of time levels
     calls = []
     plain = manufactured.forcing
     monkeypatch.setattr(manufactured, "forcing",
                         lambda *args: calls.append(args[2]) or plain(*args))
     run_verification_solve(4, 0.1, theta, 0.5)
-    assert len(calls) <= 5 + extra
+    assert calls == [0.0, 0.0]
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,41 @@
+"""The benchmark tracer's sites resolve on the package and see a solve.
+
+perfbench/tracer.py wraps module-level names at the place their callers
+look them up; a renamed or inlined function would leave its per-layer
+metric reading 0.  The tracer is loaded from its file, as the benchmark's
+workloads load the dense oracle.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import stokes_asgs
+from stokes_asgs import asgs_core, cli, fem_space, linalg, manufactured, mesh  # noqa: F401
+
+
+def _tracer_module():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_site_resolves():
+    tracer = _tracer_module()
+    for owner, attr in tracer.SITES:
+        assert callable(getattr(tracer.resolve(stokes_asgs, owner), attr)), (owner, attr)
+
+
+def test_traced_solve_records_indicator_and_factor():
+    tracer = _tracer_module()
+    t = tracer.Tracer()
+    t.install(stokes_asgs)
+    try:
+        manufactured.run_verification_solve(4, 0.1, 1, 0.2)
+    finally:
+        t.uninstall()
+    names = [span[0] for span in t.spans]
+    assert names.count("manufactured.residual_indicator") == 2
+    assert len(t.factors) == 1
+    assert tracer.wrapped_sites(stokes_asgs) == []
