@@ -212,12 +212,17 @@ def _grad_div(a, g, weight, c, cp):
 
 
 def assemble_lhs(mesh, dofmap, scheme, params):
-    """System matrix for one step: the Dirichlet velocity rows are identity
-    rows and the mean-pressure multiplier row/column is appended; on the
-    free velocity and pressure dofs it holds the raw operator.
-    ``fem_space.assemble_system`` writes the nine blocks' element sums
-    straight into the matrix, one block at a time.
+    """System matrix for one step, the scipy CSR of ``assemble_system``: the
+    Dirichlet velocity rows are identity rows and the mean-pressure
+    multiplier row/column is appended; on the free velocity and pressure
+    dofs it holds the raw operator.  ``fem_space.assemble_system`` writes the
+    nine blocks' element sums straight into the matrix, one block at a time.
+    ValueError when ``params`` were built for another dt_eff than the
+    scheme's.
     """
+    if abs(params.dt_eff - scheme.dt_eff) > 1e-12 * scheme.dt_eff:
+        raise ValueError(f"params.dt_eff {params.dt_eff} differs from the "
+                         f"scheme's dt_eff {scheme.dt_eff}")
     a, g, mass, stiff, div = _element_tables(mesh)
     alpha, dt = scheme.alpha, scheme.dt
     m_w, t1p = params.m_weights, params.tau1p
@@ -234,7 +239,7 @@ def assemble_lhs(mesh, dofmap, scheme, params):
             return alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
         return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
 
-    return linalg.SparseMatrix(assemble_system(mesh, dofmap, block))
+    return assemble_system(mesh, dofmap, block)
 
 
 def _forcing_at(forcing, pts, t):
@@ -377,9 +382,11 @@ class ReducedFactor:
     is pinned (its column and its continuity row are dropped).  This is
     exact: constants span the pressure kernel of the interior operator and
     its continuity rows sum to zero, so summing the continuity rows of
-    K x = b gives lambda * sum(mean_vector) = the sum of the lifted
-    continuity right-hand side.  With lambda known the pinned system has a
-    unique solution, whose pressure is then shifted to zero mean.  The LU
+    K x = b gives lambda * sum(mean_vector) = the sum of the continuity
+    right-hand side.  With lambda known the pinned system has a unique
+    solution, whose pressure is then shifted to zero mean.  A right-hand
+    side with nonzero Dirichlet entries is solved as if its interior rows
+    carried no lift; the refinement in ``solve`` recovers the lift.  The LU
     takes the kept dofs as (u1, u2, p) per vertex in ``elimination_order``.
     """
 
@@ -391,16 +398,14 @@ class ReducedFactor:
         self.multiplier = dofmap.multiplier_index
         free = _free_dofs(dofmap)
         self.kept = free[free != self.p_block.start]  # the first pressure is pinned
-        csr = matrix.csr
-        self.lift = csr[:self.multiplier][:, self.dirichlet]
         self.factor = linalg.DirectFactor(
-            linalg.SparseMatrix(csr[self.kept][:, self.kept]))
+            linalg.SparseMatrix(matrix[self.kept][:, self.kept]))
 
     def _solve_once(self, rhs):
         """K^{-1} rhs through one back-solve of the interior factor."""
         x = np.zeros(rhs.shape)
         x[self.dirichlet] = rhs[self.dirichlet]
-        b = rhs[:self.multiplier] - self.lift @ x[self.dirichlet]
+        b = rhs[:self.multiplier].copy()
         cont = b[self.p_block]
         lam = cont.sum() / self.mean.sum()
         cont -= lam * self.mean
@@ -421,7 +426,7 @@ class ReducedFactor:
         x, r = 0.0, rhs
         for _ in range(2):
             x = x + self._solve_once(r)
-            r = rhs - self.matrix.csr @ x
+            r = rhs - self.matrix @ x
             res = np.linalg.norm(r) / (np.linalg.norm(rhs) or 1.0)
             if res <= linalg.DIRECT_RESIDUAL_TOL:  # False for nan too
                 return x
@@ -519,7 +524,8 @@ def coercivity_check(mesh, dofmap, params, dt):
     """Least x^T S x / x^T x over the free velocities and zero-mean pressures.
 
     S = (A + A^T)/2 for the raw backward-Euler operator A at ``dt``, which
-    must equal ``params.dt_eff``, on the ``_free_dofs``, where the step
+    must be positive and equal ``params.dt_eff`` (ValueError from
+    ``TimeScheme`` and ``assemble_lhs``), on the ``_free_dofs``, where the step
     matrix holds A.  That is the least eigenvalue of the pencil
     [[S, m], [m^T, 0]] x = lam diag(I, 0) x, bordered last by the mean
     vector m on those dofs.  Shifted by sigma < 0 it has one
@@ -527,14 +533,10 @@ def coercivity_check(mesh, dofmap, params, dt):
     (LinAlgError).  ValueError, before assembling, when
     ``linalg.check_factor_budget`` refuses the pencil.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if abs(dt - params.dt_eff) > 1e-12 * dt:
-        raise ValueError(f"dt {dt} differs from params.dt_eff {params.dt_eff}")
     dofs = _free_dofs(dofmap)
     linalg.check_factor_budget(dofs.size + 1)
     A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
-                     params).csr[dofs][:, dofs]
+                     params)[dofs][:, dofs]
     mean = np.concatenate([np.zeros(2 * dofmap.n_u), dofmap.mean_vector])
     border = sp.csr_matrix(mean[dofs][:, None])
     K = sp.bmat([[0.5 * (A + A.T), border], [border.T, None]])

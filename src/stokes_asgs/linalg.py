@@ -1,9 +1,8 @@
 """Sparse storage and the direct solver for the assembled systems.
 
-Thin layer over scipy.sparse: canonical compressed-row storage of the
-matrices that ``fem_space.assemble_matrix`` and ``assemble_system`` sum,
-and a sparse LU with a singularity gate.  The time stepper hands the LU the
-reduced interior system, free of the Dirichlet identity rows and the dense
+Thin layer over scipy.sparse: a sparse LU with a singularity gate, which
+factors the CSC copy of a plain scipy matrix.  The time stepper hands the LU
+the reduced interior system, free of the Dirichlet identity rows and the dense
 mean-pressure multiplier row/column, with its dofs already in a
 nested-dissection order (``asgs_core.ReducedFactor``).  The LU keeps that
 order and prefers diagonal pivots (SuperLU's symmetric mode, pivot
@@ -48,28 +47,19 @@ class FactorBudgetError(ValueError):
 
 
 class SparseMatrix:
-    """CSR matrix with sorted, duplicate-free column indices per row."""
+    """The CSC copy of a scipy sparse matrix that ``DirectFactor`` factors,
+    with the sizes that a trace of the factor reads."""
 
-    def __init__(self, csr):
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self.csr = csr
+    def __init__(self, matrix):
+        self.csc = matrix.tocsc()
 
     @property
     def n_rows(self):
-        return self.csr.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.csr.shape[1]
+        return self.csc.shape[0]
 
     @property
     def n_nonzeros(self):
-        return int(self.csr.indptr[-1])
-
-    def to_dense(self):
-        return self.csr.toarray()
+        return self.csc.nnz
 
 
 def predicted_fill(n_rows):
@@ -91,20 +81,19 @@ def check_factor_budget(n_rows):
 
 
 class DirectFactor:
-    """Reusable sparse LU of a square SparseMatrix, in the order given;
-    ValueError, before factoring, when ``check_factor_budget`` refuses it,
-    and SingularMatrixError from the condition gate (module docstring)."""
+    """Reusable sparse LU of ``A.csc``, a ``SparseMatrix``, in the order given;
+    ValueError, before factoring, when ``check_factor_budget`` refuses it or
+    from ``splu`` when it is not square, and SingularMatrixError from the
+    condition gate (module docstring)."""
 
     def __init__(self, A):
-        if A.n_rows != A.n_cols:
-            raise ValueError("matrix must be square")
         check_factor_budget(A.n_rows)
-        norm = max(spla.norm(A.csr, 1), 1.0)
+        norm = max(spla.norm(A.csc, 1), 1.0)
         try:
             # keep the caller's order and prefer its diagonal pivots; at the
             # default threshold 1.0 the nested-dissection order of the nx=64
             # step system fills 5.6M against 1.7M
-            self.lu = spla.splu(A.csr.tocsc(), permc_spec="NATURAL",
+            self.lu = spla.splu(A.csc, permc_spec="NATURAL",
                                 diag_pivot_thresh=0.1,
                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular factor

@@ -26,7 +26,6 @@ class Mesh:
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         on_boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
         self.boundary_mask = on_boundary
-        self.boundary_vertices = frozenset(np.nonzero(on_boundary)[0].tolist())
 
         self.areas, self.shape_gradients, self.diameters = _geometry_tables(
             self.vertices, self.triangles

@@ -155,7 +155,7 @@ def test_criterion_4_assembly_oracle_equivalence():
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, fn)
-    dev_a = np.abs(matrix.to_dense() - A_ref).max()
+    dev_a = np.abs(matrix.toarray() - A_ref).max()
     dev_b = np.abs(rhs - b_ref).max()
     ok = dev_a <= 1e-12 and dev_b <= 1e-12
     _verdict(4, "assembly oracle equivalence", ok,

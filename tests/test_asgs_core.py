@@ -128,7 +128,7 @@ def test_assembly_matches_dense_oracle(theta):
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
-    assert np.abs(matrix.to_dense() - A_ref).max() < 1e-12
+    assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
 
 
@@ -143,7 +143,7 @@ def test_galerkin_switch_matches_oracle():
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
-    assert np.abs(matrix.to_dense() - A_ref).max() < 1e-12
+    assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
 
 
@@ -157,13 +157,13 @@ def test_stabilization_vanishes_for_huge_c1():
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     galerkin = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                             stabilized=False)
-    G = assemble_lhs(mesh, dofmap, scheme, galerkin).to_dense()
+    G = assemble_lhs(mesh, dofmap, scheme, galerkin).toarray()
     scale = np.abs(G).max()
 
     def remainder(big_c1):
         params = StabilizationParams.for_mesh(mesh, MU, big_c1,
                                               C2 / big_c1 ** 2, scheme.dt_eff)
-        A = assemble_lhs(mesh, dofmap, scheme, params).to_dense()
+        A = assemble_lhs(mesh, dofmap, scheme, params).toarray()
         return np.abs(A - G).max() / scale
 
     r6 = remainder(4e6)
@@ -195,7 +195,7 @@ def test_single_step_constraints():
     state, sub = step(mesh, dofmap, _initial_state(mesh), SubscaleState.zeros(mesh),
                       scheme, params, _forcing_fn())
     assert np.all(np.isfinite(state.u1)) and np.all(np.isfinite(state.p))
-    boundary = sorted(mesh.boundary_vertices)
+    boundary = np.flatnonzero(mesh.boundary_mask)
     assert np.abs(state.u1[boundary]).max() == 0.0
     assert np.abs(state.u2[boundary]).max() == 0.0
     assert abs(dofmap.mean_vector @ state.p) < 1e-9
@@ -207,7 +207,7 @@ def test_constraints_preserved_over_run():
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=0, dt=0.1, n_steps=10)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    boundary = sorted(mesh.boundary_vertices)
+    boundary = np.flatnonzero(mesh.boundary_mask)
 
     def observer(n, state, sub):
         assert np.abs(state.u1[boundary]).max() == 0.0
@@ -415,7 +415,7 @@ def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2,
     fn = _forcing_fn(mu)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
-    dense = np.linalg.solve(matrix.to_dense(), rhs)
+    dense = np.linalg.solve(matrix.toarray(), rhs)
     scale = max(1.0, np.abs(dense).max())
 
     new, _ = step(mesh, dofmap, state, sub, scheme, params, fn)
@@ -434,7 +434,7 @@ def _reduced_fill(nx, theta):
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     lu = ReducedFactor(matrix, dofmap).factor.lu
-    return lu.L.nnz + lu.U.nnz, matrix.n_nonzeros
+    return lu.L.nnz + lu.U.nnz, matrix.nnz
 
 
 def test_direct_factor_fill_guard():
@@ -508,7 +508,7 @@ def test_reduced_step_matrix_symmetric_after_scaling_continuity(nx, mu, c1, c2, 
                                           stabilized=stabilized)
     pinned = np.append(dofmap.dirichlet_dofs, 2 * dofmap.n_u)
     kept = np.setdiff1d(np.arange(dofmap.multiplier_index), pinned)
-    K = assemble_lhs(mesh, dofmap, scheme, params).csr[kept][:, kept].toarray()
+    K = assemble_lhs(mesh, dofmap, scheme, params)[kept][:, kept].toarray()
     S = np.where((kept >= 2 * dofmap.n_u)[:, None], -K / scheme.alpha, K)
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(K).max()
 
@@ -528,11 +528,11 @@ def test_step_matrix_pattern_counts(nx):
         for stabilized in (True, False):
             params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                                   stabilized=stabilized)
-            assert assemble_lhs(mesh, dofmap, scheme, params).n_nonzeros == _STEP_MATRIX_NNZ[nx]
+            assert assemble_lhs(mesh, dofmap, scheme, params).nnz == _STEP_MATRIX_NNZ[nx]
             if nx == 40 and stabilized:
                 matrix = assemble_lhs(mesh, dofmap, scheme, params)
                 factor = ReducedFactor(matrix, dofmap)
-                assert matrix.csr[factor.kept][:, factor.kept].nnz == 95366
+                assert matrix[factor.kept][:, factor.kept].nnz == 95366
 
 
 def _bmat_reference(mesh, dofmap, block):
@@ -547,8 +547,8 @@ def _bmat_reference(mesh, dofmap, block):
     on = dofmap.dirichlet_mask()[rows]
     keep = ~on | (K.indices == rows)
     indptr = np.searchsorted(np.flatnonzero(keep), K.indptr)
-    return linalg.SparseMatrix(sp.csr_matrix(
-        (np.where(on, 1.0, K.data)[keep], K.indices[keep], indptr), shape=K.shape)).csr
+    return sp.csr_matrix((np.where(on, 1.0, K.data)[keep], K.indices[keep], indptr),
+                         shape=K.shape)
 
 
 @settings(max_examples=40, deadline=None)
@@ -561,11 +561,11 @@ def test_step_matrix_equals_bmat_reference(nx, theta, dt, stabilized):
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                           stabilized=stabilized)
-    got = assemble_lhs(mesh, dofmap, scheme, params).csr
+    got = assemble_lhs(mesh, dofmap, scheme, params)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asgs_core, "assemble_system", _bmat_reference)
-        want = assemble_lhs(mesh, dofmap, scheme, params).csr
-    assert got.shape == want.shape
+        want = assemble_lhs(mesh, dofmap, scheme, params)
+    assert got.format == "csr" and got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
@@ -581,7 +581,7 @@ def test_step_matrix_assembly_peak_memory():
     assemble_lhs(mesh, dofmap, scheme, params)  # builds the per-mesh pattern
     tracemalloc.start()
     try:
-        csr = assemble_lhs(mesh, dofmap, scheme, params).csr
+        csr = assemble_lhs(mesh, dofmap, scheme, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -727,6 +727,18 @@ def test_coercivity_rejects_mismatched_dt():
     coercivity_check(mesh, dofmap, params, dt=0.1 * (1 + 1e-14))
 
 
+def test_step_rejects_params_for_another_dt_eff():
+    # Crank-Nicolson steps with dt_eff = dt/2; stabilization weights built
+    # for dt would mix two step sizes in one scheme
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=0, dt=0.1, n_steps=2)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=scheme.dt)
+    with pytest.raises(ValueError, match="dt_eff"):
+        solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
+                        _initial_state(mesh))
+
+
 def test_diagnostics_refuse_over_factor_budget(monkeypatch):
     # both pencils are refused from the predicted size of their factor,
     # before anything is assembled
@@ -754,8 +766,8 @@ def test_diagnostics_refuse_over_factor_budget(monkeypatch):
 def _raw_block(mesh, dofmap, scheme, params):
     """The dense step matrix without the multiplier, with its Dirichlet rows
     and columns zeroed: the raw operator on the free dofs, zero elsewhere."""
-    A = assemble_lhs(mesh, dofmap, scheme, params).to_dense()[:dofmap.multiplier_index,
-                                                              :dofmap.multiplier_index]
+    A = assemble_lhs(mesh, dofmap, scheme, params).toarray()[:dofmap.multiplier_index,
+                                                             :dofmap.multiplier_index]
     A[dofmap.dirichlet_dofs] = A[:, dofmap.dirichlet_dofs] = 0.0
     return A
 

@@ -125,7 +125,7 @@ def test_mean_vector_sums_to_area(nx):
 def test_dirichlet_dofs_both_components():
     mesh = build_unit_square_mesh(3)
     dm = build_dofmap(mesh)
-    boundary = sorted(mesh.boundary_vertices)
+    boundary = np.flatnonzero(mesh.boundary_mask).tolist()
     expected = sorted(boundary + [mesh.n_vertices + v for v in boundary])
     assert list(dm.dirichlet_dofs) == expected
 
@@ -140,7 +140,7 @@ def test_interpolate_zero_and_linear():
 def test_interpolate_exact_velocity_boundary_zero():
     mesh = build_unit_square_mesh(7)
     u1 = interpolate(lambda x, y: exact_velocity(x, y, 0.0)[0], mesh)
-    idx = sorted(mesh.boundary_vertices)
+    idx = np.flatnonzero(mesh.boundary_mask)
     assert np.abs(u1[idx]).max() == 0.0
 
 

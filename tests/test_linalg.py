@@ -23,9 +23,9 @@ def test_duplicate_triplets_summed():
     # the pairs (0, 0), (0, 3), (3, 0) and (3, 3) each get two entries
     mesh = build_unit_square_mesh(1)
     local = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 2.0)])
-    A = SparseMatrix(assemble_matrix(mesh, local))
-    assert A.n_nonzeros == 14
-    dense = A.to_dense()
+    A = assemble_matrix(mesh, local)
+    assert A.nnz == 14
+    dense = A.toarray()
     for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
         assert dense[i, j] == 3.0
     assert dense[0, 1] == 1.0 and dense[2, 3] == 2.0
@@ -35,10 +35,10 @@ def test_duplicate_triplets_summed():
 def test_empty_triplets():
     full = build_unit_square_mesh(2)
     mesh = Mesh(2, full.vertices, full.triangles[:0])
-    A = SparseMatrix(assemble_matrix(mesh, np.zeros((0, 3, 3))))
-    assert A.n_nonzeros == 0
-    assert A.n_rows == A.n_cols == full.n_vertices
-    assert np.all(A.to_dense() == 0.0)
+    A = assemble_matrix(mesh, np.zeros((0, 3, 3)))
+    assert A.nnz == 0
+    assert A.shape == (full.n_vertices, full.n_vertices)
+    assert np.all(A.toarray() == 0.0)
 
 
 def test_out_of_range_rejected():
@@ -51,27 +51,6 @@ def test_out_of_range_rejected():
         Mesh(1, vertices, np.array([[0, -1, 2]]))
 
 
-def test_csr_invariants_random():
-    rng = np.random.default_rng(50)
-    rows = rng.integers(0, 50, 400)
-    cols = rng.integers(0, 50, 400)
-    vals = rng.standard_normal(400)
-    A = SparseMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(50, 50)))
-    csr = A.csr
-    # sorted, unique column indices per row; monotone offsets
-    for i in range(50):
-        seg = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
-        assert np.all(np.diff(seg) > 0)
-    assert np.all(np.diff(csr.indptr) >= 0)
-    assert A.n_nonzeros == csr.indptr[-1]
-    # product against a dense oracle
-    dense = np.zeros((50, 50))
-    for r, c, v in zip(rows, cols, vals):
-        dense[r, c] += v
-    x = rng.standard_normal(50)
-    assert np.abs(csr @ x - dense @ x).max() < 1e-13
-
-
 def test_direct_identity():
     I = SparseMatrix(sp.csr_matrix(np.eye(3)))
     b = np.array([1.0, -2.0, 3.0])
@@ -82,6 +61,20 @@ def test_direct_two_by_two():
     A = SparseMatrix(sp.csr_matrix([[2.0, 1.0], [1.0, 3.0]]))
     x = DirectFactor(A).solve(np.array([3.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+
+
+def test_direct_factors_the_held_csc(monkeypatch):
+    # SuperLU gets the CSC that SparseMatrix holds, not a second copy
+    A = SparseMatrix(sp.csr_matrix([[2.0, 1.0], [1.0, 3.0]]))
+    splu, same = linalg.spla.splu, []
+
+    def recorded(*args, **kwargs):
+        same.append(args[0] is A.csc)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recorded)
+    DirectFactor(A)
+    assert same == [True]
 
 
 def _step_system():
@@ -100,7 +93,7 @@ def _step_system():
 
 
 def _residual(factor, x, b):
-    return np.linalg.norm(factor.matrix.csr @ x - b) / np.linalg.norm(b)
+    return np.linalg.norm(factor.matrix @ x - b) / np.linalg.norm(b)
 
 
 def test_direct_on_assembled_system():
@@ -145,6 +138,18 @@ def test_direct_solve_is_one_backsolve(monkeypatch):
     calls = _perturb_backsolves(monkeypatch, factor, 0.0, count=0)
     factor.solve(b)
     assert calls == [False]
+
+
+def test_direct_solve_recovers_a_dirichlet_lift(monkeypatch):
+    # nonzero Dirichlet data: the first back-solve ignores its lift into the
+    # interior rows, and the refinement recovers it
+    factor, b = _step_system()
+    b[factor.dirichlet] = np.random.default_rng(3).standard_normal(factor.dirichlet.size)
+    calls = _perturb_backsolves(monkeypatch, factor, 0.0, count=0)
+    x = factor.solve(b)
+    assert calls == [False, False]
+    want = np.linalg.solve(factor.matrix.toarray(), b)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_direct_singular_raises():

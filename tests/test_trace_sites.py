@@ -39,3 +39,13 @@ def test_traced_solve_records_indicator_and_factor():
     assert names.count("manufactured.residual_indicator") == 2
     assert len(t.factors) == 1
     assert tracer.wrapped_sites(stokes_asgs) == []
+    # the record's sizes are those of the reduced step matrix
+    m = mesh.build_unit_square_mesh(4)
+    dofmap = fem_space.build_dofmap(m)
+    scheme = asgs_core.TimeScheme(theta=1, dt=0.1, n_steps=1)
+    params = asgs_core.StabilizationParams.for_mesh(m, 0.1, 4.0, 2.0, scheme.dt_eff)
+    factor = asgs_core.ReducedFactor(asgs_core.assemble_lhs(m, dofmap, scheme, params),
+                                     dofmap)
+    rows, nnz, _ = t.factors[0]
+    assert rows == len(factor.kept)
+    assert nnz == factor.matrix[factor.kept][:, factor.kept].nnz
