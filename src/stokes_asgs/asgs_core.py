@@ -55,7 +55,8 @@ ASSEMBLY_QUAD_DEGREE = 5
 
 @dataclass(frozen=True)
 class TimeScheme:
-    """Theta one-step scheme: theta=1 backward Euler, theta=0 Crank-Nicolson."""
+    """Theta one-step scheme: theta=1 backward Euler, theta=0 Crank-Nicolson,
+    with a finite and positive dt."""
 
     theta: int
     dt: float
@@ -64,8 +65,8 @@ class TimeScheme:
     def __post_init__(self):
         if self.theta not in (0, 1):
             raise ValueError(f"theta must be 0 or 1, got {self.theta}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be finite and positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
 
@@ -105,9 +106,10 @@ def _taus(h, mu, c1, c2, dt_eff):
     in tau2 keeps the grad-div weight bounded under refinement; an unbounded
     weight locks the P1 velocity toward the elementwise divergence-free
     subspace, which on structured triangulations approximates nothing.
+    ValueError unless mu, c1, c2 and dt_eff are finite and positive.
     """
-    if mu <= 0.0 or c1 <= 0.0 or c2 <= 0.0 or dt_eff <= 0.0:
-        raise ValueError("mu, c1, c2 and dt_eff must all be positive")
+    if not all(v > 0.0 and math.isfinite(v) for v in (mu, c1, c2, dt_eff)):
+        raise ValueError("mu, c1, c2 and dt_eff must all be finite and positive")
     tau1 = h ** 2 / (c1 * mu)
     tau2 = c2 * h ** 2 / tau1
     tau1p = tau1 * dt_eff / (dt_eff + tau1)
@@ -524,24 +526,21 @@ def coercivity_check(mesh, dofmap, params, dt):
     """Least x^T S x / x^T x over the free velocities and zero-mean pressures.
 
     S = (A + A^T)/2 for the raw backward-Euler operator A at ``dt``, which
-    must be positive and equal ``params.dt_eff`` (ValueError from
+    must be finite, positive and equal ``params.dt_eff`` (ValueError from
     ``TimeScheme`` and ``assemble_lhs``), on the ``_free_dofs``, where the step
     matrix holds A.  That is the least eigenvalue of the pencil
-    [[S, m], [m^T, 0]] x = lam diag(I, 0) x, bordered last by the mean
-    vector m on those dofs.  Shifted by sigma < 0 it has one
-    negative pivot unless S has an admissible eigenvalue below sigma
-    (LinAlgError).  ValueError, before assembling, when
-    ``linalg.check_factor_budget`` refuses the pencil.
+    [[S, m], [m^T, 0]] x = lam diag(I, 0) x: the symmetric part of the step
+    matrix on those dofs and the multiplier, whose row is the mean vector m.
+    Shifted by sigma < 0 it has one negative pivot unless S has an
+    admissible eigenvalue below sigma (LinAlgError).  ValueError, before
+    assembling, when ``linalg.check_factor_budget`` refuses the pencil.
     """
-    dofs = _free_dofs(dofmap)
-    linalg.check_factor_budget(dofs.size + 1)
-    A = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
+    dofs = np.append(_free_dofs(dofmap), dofmap.multiplier_index)
+    linalg.check_factor_budget(dofs.size)
+    K = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
                      params)[dofs][:, dofs]
-    mean = np.concatenate([np.zeros(2 * dofmap.n_u), dofmap.mean_vector])
-    border = sp.csr_matrix(mean[dofs][:, None])
-    K = sp.bmat([[0.5 * (A + A.T), border], [border.T, None]])
-    M = sp.diags(np.append(np.ones(dofs.size), 0.0))
-    return float(_nearest_eigenvalues(K, M, -1e-6, 1, 1)[0])
+    M = sp.diags(np.append(np.ones(dofs.size - 1), 0.0))
+    return float(_nearest_eigenvalues(0.5 * (K + K.T), M, -1e-6, 1, 1)[0])
 
 
 def infsup_constant(mesh, dofmap, stabilized, params):

@@ -1,8 +1,9 @@
 """Command-line front end: single solves, convergence studies, CSV reports.
 
 Configuration comes from an optional flat key=value file ('#' starts a
-comment) overridden by command-line flags.  All floats are printed with 9
-significant digits so repeated runs produce byte-identical CSV.
+comment) overridden by command-line flags; its keys are the fields of
+``RunConfig``.  All floats are printed with 9 significant digits so repeated
+runs produce byte-identical CSV.
 """
 
 import argparse
@@ -17,6 +18,10 @@ from .linalg import FactorBudgetError
 
 @dataclass
 class RunConfig:
+    """One run's settings.  Each field is a config-file key, its value cast
+    to the field's type (a bool from true/false/1/0), and the flag whose
+    dest is the field's name overrides it."""
+
     nx: int = 10
     dt: float = 0.1
     theta: int = 1
@@ -32,17 +37,8 @@ class ConfigError(Exception):
     pass
 
 
-_CASTS = {
-    "nx": int,
-    "dt": float,
-    "theta": int,
-    "t_final": float,
-    "mu": float,
-    "c1": float,
-    "c2": float,
-    "stabilized": lambda s: {"true": True, "false": False, "1": True, "0": False}[str(s).lower()],
-    "out": str,
-}
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 
 def _validate(cfg):
@@ -58,15 +54,13 @@ def _validate(cfg):
         count_steps(cfg.t_final, cfg.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return replace(cfg, theta=int(cfg.theta))
 
 
 def parse_config(path=None, overrides=None):
     """Build a RunConfig from a key=value file plus flag overrides."""
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    updates = {}
     if path is not None:
-        updates = {}
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = list(fh)
@@ -79,23 +73,18 @@ def parse_config(path=None, overrides=None):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                updates[key] = _CASTS[key](value)
+                updates[key] = (_BOOLS[value.lower()] if _TYPES[key] is bool
+                                else _TYPES[key](value))
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
-        cfg = replace(cfg, **updates)
-    if overrides:
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"unknown keys: {sorted(unknown)}")
-        cfg = replace(cfg, **overrides)
-    # theta may arrive as a float flag value; only exact 0/1 are meaningful
-    if cfg.theta != int(cfg.theta):
-        raise ConfigError(f"theta must be 0 or 1, got {cfg.theta}")
-    cfg = replace(cfg, theta=int(cfg.theta))
-    return _validate(cfg)
+    updates.update(overrides or {})
+    unknown = updates.keys() - _TYPES.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys: {sorted(unknown)}")
+    return _validate(replace(RunConfig(), **updates))
 
 
 def _fmt(value):
@@ -171,19 +160,8 @@ def _add_common_flags(parser):
     parser.add_argument("--mu", type=float)
     parser.add_argument("--c1", type=float)
     parser.add_argument("--c2", type=float)
-    parser.add_argument("--no-stab", dest="no_stab", action="store_true")
+    parser.add_argument("--no-stab", dest="stabilized", action="store_false", default=None)
     parser.add_argument("--out", metavar="F")
-
-
-def _config_from_args(args):
-    overrides = {}
-    for key in ("nx", "dt", "theta", "t_final", "mu", "c1", "c2", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.no_stab:
-        overrides["stabilized"] = False
-    return parse_config(args.config, overrides)
 
 
 def main(argv=None):
@@ -203,7 +181,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = parse_config(args.config, {key: value for key, value in vars(args).items()
+                                         if key in _TYPES and value is not None})
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

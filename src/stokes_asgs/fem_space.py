@@ -35,7 +35,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def _rule_degree2():
@@ -97,14 +96,14 @@ def _rule_degree8():
     return points, weights
 
 
-def _frozen_rule(degree, build):
+def _frozen_rule(build):
     points, weights = build()
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(points=points, weights=weights, degree=degree)
+    return QuadratureRule(points=points, weights=weights)
 
 
-_RULES = {d: _frozen_rule(d, build) for d, build in
+_RULES = {d: _frozen_rule(build) for d, build in
           ((2, _rule_degree2), (5, _rule_degree5), (8, _rule_degree8))}
 
 

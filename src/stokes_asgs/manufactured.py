@@ -214,7 +214,6 @@ class LevelResult:
 
     nx: int
     dt: float
-    theta: int
     u_l2l2_sq: float = 0.0
     u_l2h1_sq: float = 0.0
     u_max_l2_sq: float = 0.0
@@ -355,7 +354,7 @@ class _VerificationObserver:
         self.forcing_fn = forcing_fn
         self.exact = exact
         self.forms = None
-        self.result = LevelResult(mesh.nx, scheme.dt, scheme.theta)
+        self.result = LevelResult(mesh.nx, scheme.dt)
         self._prev = None
 
     def __call__(self, n, state, subscale):

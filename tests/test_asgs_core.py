@@ -65,7 +65,9 @@ def test_tau_invariants():
 
 
 def test_taus_rejects_nonpositive():
-    for bad in [dict(mu=0.0), dict(c1=-1.0), dict(c2=0.0), dict(dt_eff=0.0)]:
+    non_finite = [{key: v} for key in ("mu", "c1", "c2", "dt_eff")
+                  for v in (np.nan, np.inf)]
+    for bad in [dict(mu=0.0), dict(c1=-1.0), dict(c2=0.0), dict(dt_eff=0.0)] + non_finite:
         kw = dict(mu=MU, c1=C1, c2=C2, dt_eff=0.1)
         kw.update(bad)
         with pytest.raises(ValueError):
@@ -75,8 +77,9 @@ def test_taus_rejects_nonpositive():
 def test_time_scheme_validation():
     with pytest.raises(ValueError):
         TimeScheme(theta=0.5, dt=0.1, n_steps=1)
-    with pytest.raises(ValueError):
-        TimeScheme(theta=1, dt=-0.1, n_steps=1)
+    for dt in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TimeScheme(theta=1, dt=dt, n_steps=1)
     with pytest.raises(ValueError):
         TimeScheme(theta=1, dt=0.1, n_steps=0)
     s = TimeScheme(theta=0, dt=0.2, n_steps=5)

@@ -1,12 +1,12 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_asgs import linalg
+from stokes_asgs import cli, linalg
 from stokes_asgs.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -139,6 +139,55 @@ def test_parse_config_unknown_key(tmp_path):
     cfg_file.write_text("solver = direct\n")
     with pytest.raises(ConfigError, match="solver"):
         parse_config(str(cfg_file))
+
+
+# one valid file value per RunConfig field, and the type it must parse to
+_FILE_VALUES = {
+    "nx": ("20", 20, int),
+    "dt": ("0.05", 0.05, float),
+    "theta": ("0", 0, int),
+    "t_final": ("2.0", 2.0, float),
+    "mu": ("0.2", 0.2, float),
+    "c1": ("3.0", 3.0, float),
+    "c2": ("1.5", 1.5, float),
+    "stabilized": ("false", False, bool),
+    "out": ("run.csv", "run.csv", str),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_parse_config_casts_each_field(tmp_path, key):
+    text, want, kind = _FILE_VALUES[key]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    value = getattr(parse_config(str(cfg_file)), key)
+    assert value == want and type(value) is kind
+
+
+def test_parse_config_integral_theta_override_is_int():
+    assert type(parse_config(None, {"theta": 1.0}).theta) is int
+
+
+def _config_built_by_main(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_flags_override_only_their_fields(tmp_path, monkeypatch):
+    argv = ["solve", "--no-stab", "--dt", "0.5", "--t-final", "0.5"]
+    cfg = _config_built_by_main(monkeypatch, argv)
+    assert cfg == replace(RunConfig(), dt=0.5, t_final=0.5, stabilized=False)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("nx = 6\nmu = 0.2\nstabilized = true\n")
+    cfg = _config_built_by_main(monkeypatch, argv + ["--config", str(cfg_file)])
+    assert cfg == replace(RunConfig(), nx=6, mu=0.2, dt=0.5, t_final=0.5,
+                          stabilized=False)
+    # an absent --no-stab leaves the file's value alone
+    cfg_file.write_text("stabilized = false\n")
+    cfg = _config_built_by_main(monkeypatch, ["solve", "--config", str(cfg_file)])
+    assert cfg == replace(RunConfig(), stabilized=False)
 
 
 def test_parse_config_rejects_fractional_theta():

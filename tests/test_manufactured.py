@@ -297,7 +297,7 @@ def test_forms_equal_pointwise_sums(nx, theta, t, seed):
     for n, (state, snap) in enumerate(zip(states, snaps)):
         obs(n, state, None)
         assert obs._prev.l2_sq == pytest.approx(snap[2], rel=1e-12, abs=0.0)
-    want = _reference_fold(LevelResult(nx, dt, theta), *states, mesh, theta, dt)
+    want = _reference_fold(LevelResult(nx, dt), *states, mesh, theta, dt)
     for name in ("u_l2l2_sq", "u_l2h1_sq", "u_max_l2_sq", "p_l2l2_sq",
                  "div_l2l2_sq"):
         assert getattr(obs.result, name) == pytest.approx(getattr(want, name),
@@ -456,7 +456,7 @@ def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
     solve_transient(mesh, build_dofmap(mesh), scheme, params,
                     manufactured.ManufacturedForcing(MU), initial,
                     observer=lambda n, state, subscale: hist.append(state))
-    acc = LevelResult(nx, dt, theta)
+    acc = LevelResult(nx, dt)
     etas = []
     for prev, cur in zip(hist, hist[1:]):
         _reference_fold(acc, prev, cur, mesh, theta, dt)

@@ -49,3 +49,22 @@ def test_traced_solve_records_indicator_and_factor():
     rows, nnz, _ = t.factors[0]
     assert rows == len(factor.kept)
     assert nnz == factor.matrix[factor.kept][:, factor.kept].nnz
+
+
+def test_cli_opens_the_run_spans(tmp_path):
+    # cli looks the run functions up on manufactured, so the tracer's
+    # wrappers there see the calls that cli.main makes
+    tracer = _tracer_module()
+    t = tracer.Tracer()
+    t.install(stokes_asgs)
+    try:
+        assert cli.main(["solve", "--nx", "4", "--t-final", "0.2",
+                         "--out", str(tmp_path / "solve.csv")]) == 0
+        assert cli.main(["study", "--nx", "4", "--dt", "0.25", "--t-final", "0.5",
+                         "--levels", "2", "--out", str(tmp_path / "study.csv")]) == 0
+    finally:
+        t.uninstall()
+    runs = [(name, t.spans[parent][0]) for name, _, _, parent in t.spans
+            if name.startswith("manufactured.run_")]
+    assert runs == [("manufactured.run_verification_solve", "cli.main"),
+                    ("manufactured.run_convergence_study", "cli.main")]
