@@ -14,8 +14,8 @@ result = run_verification_solve(nx=10, dt=0.1, theta=1, t_final=1.0,
 
 print("step    t     err_u_L2    err_u_H1    err_p_L2      eta")
 for row in result.steps:
-    print(f"{row['step']:4d}  {row['t']:4.1f}  {row['err_u_l2']:.4e}"
-          f"  {row['err_u_h1']:.4e}  {row['err_p_l2']:.4e}  {row['eta']:.5f}")
+    print(f"{row.step:4d}  {row.t:4.1f}  {row.err_u_l2:.4e}"
+          f"  {row.err_u_h1:.4e}  {row.err_p_l2:.4e}  {row.eta:.5f}")
 
 print()
 print(f"velocity error (max-in-time L2 + L2-in-time H1): {result.err_u_vtilde:.6f}")

@@ -71,10 +71,6 @@ class TimeScheme:
             raise ValueError("n_steps must be at least 1")
 
     @property
-    def t_final(self):
-        return self.n_steps * self.dt
-
-    @property
     def alpha(self):
         return 0.5 * (1 + self.theta)
 

@@ -41,6 +41,23 @@ _TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 
+def _cast(key, value, where=""):
+    """A file or override ``value`` as field ``key``'s type: a value of that
+    type as is, an integral float as an int, anything else through its text
+    (a bool from true/false/1/0); ConfigError, prefixed by ``where``, if it
+    is none of these."""
+    kind = _TYPES[key]
+    if type(value) is kind:
+        return value
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    text = str(value)
+    try:
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{where}bad value for '{key}': {value}") from exc
+
+
 def _validate(cfg):
     if cfg.nx < 1:
         raise ConfigError(f"nx must be >= 1, got {cfg.nx}")
@@ -54,11 +71,12 @@ def _validate(cfg):
         count_steps(cfg.t_final, cfg.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return replace(cfg, theta=int(cfg.theta))
+    return cfg
 
 
 def parse_config(path=None, overrides=None):
-    """Build a RunConfig from a key=value file plus flag overrides."""
+    """Build a RunConfig from a key=value file plus flag overrides, each
+    value cast to its field's type; an override of None is no override."""
     updates = {}
     if path is not None:
         try:
@@ -75,15 +93,12 @@ def parse_config(path=None, overrides=None):
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            try:
-                updates[key] = (_BOOLS[value.lower()] if _TYPES[key] is bool
-                                else _TYPES[key](value))
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
-    updates.update(overrides or {})
-    unknown = updates.keys() - _TYPES.keys()
+            updates[key] = _cast(key, value, f"{path}:{lineno}: ")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    unknown = overrides.keys() - _TYPES.keys()
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
+    updates.update((key, _cast(key, value)) for key, value in overrides.items())
     return _validate(replace(RunConfig(), **updates))
 
 
@@ -91,13 +106,28 @@ def _fmt(value):
     return format(value, ".9g")
 
 
-def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _cell(value):
+    if isinstance(value, int):
+        return str(value)
+    return "" if math.isnan(value) else _fmt(value)
+
+
+def _write_csv(rows, out_path, trailer=()):
+    """Write namedtuple ``rows`` under a header of their fields, then the
+    ``trailer`` lines: an int as is, a float by ``_fmt``, NaN as empty."""
+    lines = [",".join(rows[0]._fields)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    text = "\n".join([*lines, *trailer]) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
+
+
+# the LevelResult norms on the solve CSV's summary line
+_SUMMARY = ("err_u_vtilde", "err_u_l2l2", "err_u_l2h1", "err_p_l2l2", "total",
+            "eta")
 
 
 def cmd_solve(cfg):
@@ -109,19 +139,8 @@ def cmd_solve(cfg):
     except StepFailureError as exc:
         print(f"error: solve failed at {exc}", file=sys.stderr)
         return 1
-    lines = ["step,t,err_u_l2,err_u_h1,err_p_l2,eta"]
-    for row in result.steps:
-        lines.append(",".join([str(row["step"]), _fmt(row["t"]),
-                               _fmt(row["err_u_l2"]), _fmt(row["err_u_h1"]),
-                               _fmt(row["err_p_l2"]), _fmt(row["eta"])]))
-    lines.append("# summary"
-                 f" err_u_vtilde={_fmt(result.err_u_vtilde)}"
-                 f" err_u_l2l2={_fmt(result.err_u_l2l2)}"
-                 f" err_u_l2h1={_fmt(result.err_u_l2h1)}"
-                 f" err_p_l2l2={_fmt(result.err_p_l2l2)}"
-                 f" total={_fmt(result.total)}"
-                 f" eta={_fmt(result.eta)}")
-    _write_lines(lines, cfg.out)
+    summary = " ".join(f"{key}={_fmt(getattr(result, key))}" for key in _SUMMARY)
+    _write_csv(result.steps, cfg.out, [f"# summary {summary}"])
     return 0
 
 
@@ -140,14 +159,7 @@ def cmd_study(cfg, levels, time_study=False):
         print(f"error: level {i} (nx={nx}, dt={dt:g}) failed at {exc}",
               file=sys.stderr)
         return 1
-    lines = ["level,nx,h,dt,err_u_vtilde,err_p_l2l2,total,roc,eta"]
-    for row in table.rows:
-        roc = "" if row.level == 0 else _fmt(row.roc)
-        lines.append(",".join([str(row.level), str(row.nx), _fmt(row.h),
-                               _fmt(row.dt), _fmt(row.err_u_vtilde),
-                               _fmt(row.err_p_l2l2), _fmt(row.total), roc,
-                               _fmt(row.eta)]))
-    _write_lines(lines, cfg.out)
+    _write_csv(table.rows, cfg.out)
     return 0
 
 
@@ -182,7 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, {key: value for key, value in vars(args).items()
-                                         if key in _TYPES and value is not None})
+                                         if key in _TYPES})
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,16 +37,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _rule_degree2():
-    points = np.array([
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.5],
-    ])
-    weights = np.full(3, 1.0 / 3.0)
-    return points, weights
-
-
 def _rule_degree5():
     # 7-point rule; orbit coordinates are algebraic in sqrt(15).
     s15 = np.sqrt(15.0)
@@ -104,11 +94,11 @@ def _frozen_rule(build):
 
 
 _RULES = {d: _frozen_rule(build) for d, build in
-          ((2, _rule_degree2), (5, _rule_degree5), (8, _rule_degree8))}
+          ((5, _rule_degree5), (8, _rule_degree8))}
 
 
 def quadrature_rule(degree):
-    """Return the quadrature rule exact to ``degree`` (one of 2, 5, 8).
+    """Return the quadrature rule exact to ``degree`` (5 or 8).
 
     Each rule is built once; every call returns the same read-only object.
     """

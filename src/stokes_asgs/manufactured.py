@@ -150,17 +150,12 @@ def residual_indicator(form, values, c, div_sq):
     return math.sqrt(form.square(form.error(values, c), c) + div_sq)
 
 
-@dataclass
-class RateRow:
-    level: int
-    nx: int
-    h: float
-    dt: float
-    err_u_vtilde: float
-    err_p_l2l2: float
-    total: float
-    roc: float  # nan for the first level
-    eta: float
+# One step's interval velocity errors (L2, H1), pressure error and indicator,
+# and one study level with its rate (nan for level 0); their fields are the
+# columns of the solve and study CSVs.
+StepRecord = namedtuple("StepRecord", "step t err_u_l2 err_u_h1 err_p_l2 eta")
+RateRow = namedtuple("RateRow",
+                     "level nx h dt err_u_vtilde err_p_l2l2 total roc eta")
 
 
 @dataclass
@@ -195,10 +190,8 @@ def rate_table(levels):
             else:
                 den = math.log((1.0 / prev.nx) / h)
             roc = num / den
-        rows.append(RateRow(level=i, nx=lv.nx, h=h, dt=lv.dt,
-                            err_u_vtilde=lv.err_u_vtilde,
-                            err_p_l2l2=lv.err_p_l2l2,
-                            total=lv.total, roc=roc, eta=lv.eta))
+        rows.append(RateRow(i, lv.nx, h, lv.dt, lv.err_u_vtilde,
+                            lv.err_p_l2l2, lv.total, roc, lv.eta))
     return RateTable(rows=rows)
 
 
@@ -209,7 +202,7 @@ class LevelResult:
 
     The sums are nonnegative and nondecreasing; ``u_max_l2_sq`` is the
     largest squared snapshot L2 velocity error seen so far (the max part of
-    the velocity norm squared).  ``steps`` holds one record per step.
+    the velocity norm squared).  ``steps`` holds one ``StepRecord`` per step.
     """
 
     nx: int
@@ -387,13 +380,9 @@ class _VerificationObserver:
         eta = residual_indicator(forms.residual, values, c_mid, parts["div_l2"])
         _fold(self.result, parts, dt)
         self.result.eta_sq += dt * eta ** 2
-        self.result.steps.append({
-            "step": n, "t": state.t,
-            "err_u_l2": math.sqrt(parts["mid_l2"]),
-            "err_u_h1": math.sqrt(parts["mid_h1"]),
-            "err_p_l2": math.sqrt(parts["p_l2"]),
-            "eta": eta,
-        })
+        self.result.steps.append(StepRecord(
+            n, state.t, math.sqrt(parts["mid_l2"]), math.sqrt(parts["mid_h1"]),
+            math.sqrt(parts["p_l2"]), eta))
 
 
 def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,

@@ -66,7 +66,7 @@ def time_study():
         params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
         finals.append(solve_transient(mesh, dofmap, scheme, params, fn, initial))
 
-    rule = quadrature_rule(2)
+    rule = quadrature_rule(5)
 
     def l2_gap(a, b):
         d = np.stack([(a.u1 - b.u1)[mesh.triangles],

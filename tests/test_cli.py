@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_asgs import cli, linalg
+from stokes_asgs import cli, linalg, manufactured
 from stokes_asgs.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -31,6 +31,34 @@ def test_solve_csv_byte_identical(tmp_path):
     assert run_cli(["solve", "--nx", "6", "--dt", "0.25", "--out", str(a)]) == 0
     assert run_cli(["solve", "--nx", "6", "--dt", "0.25", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _csv_cells(record):
+    return ["" if isinstance(v, float) and math.isnan(v)
+            else str(v) if isinstance(v, int) else cli._fmt(v) for v in record]
+
+
+def test_csv_columns_are_the_record_fields(tmp_path):
+    # each CSV's header is its record type's fields and each data line the
+    # cells of the matching record: an int as is, a float by _fmt, and an
+    # empty rate on level 0
+    solve_csv, study_csv = tmp_path / "solve.csv", tmp_path / "study.csv"
+    assert run_cli(["solve", "--nx", "4", "--dt", "0.1", "--t-final", "0.3",
+                    "--out", str(solve_csv)]) == 0
+    assert run_cli(["study", "--nx", "4", "--dt", "0.25", "--levels", "2",
+                    "--out", str(study_csv)]) == 0
+    steps = manufactured.run_verification_solve(4, 0.1, 1, 0.3).steps
+    rows = manufactured.run_convergence_study(4, 0.25, 2)[0].rows
+    for path, kind, records in [(solve_csv, manufactured.StepRecord, steps),
+                                (study_csv, manufactured.RateRow, rows)]:
+        lines = [l for l in path.read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0].split(",") == list(kind._fields)
+        assert len(lines) == 1 + len(records)
+        for line, record in zip(lines[1:], records):
+            assert type(record) is kind
+            assert line.split(",") == _csv_cells(record)
+    assert study_csv.read_text().splitlines()[1].split(",")[7] == ""
 
 
 def test_study_minimal_two_levels(tmp_path):
@@ -157,11 +185,13 @@ _FILE_VALUES = {
 
 @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
 def test_parse_config_casts_each_field(tmp_path, key):
+    # the same text gives the same value from the file and as an override
     text, want, kind = _FILE_VALUES[key]
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{key} = {text}\n")
-    value = getattr(parse_config(str(cfg_file)), key)
-    assert value == want and type(value) is kind
+    for cfg in (parse_config(str(cfg_file)), parse_config(None, {key: text})):
+        value = getattr(cfg, key)
+        assert value == want and type(value) is kind
 
 
 def test_parse_config_integral_theta_override_is_int():
@@ -193,6 +223,14 @@ def test_flags_override_only_their_fields(tmp_path, monkeypatch):
 def test_parse_config_rejects_fractional_theta():
     with pytest.raises(ConfigError):
         parse_config(None, {"theta": 0.5})
+
+
+@pytest.mark.parametrize("key,value", [("nx", 4.5), ("nx", "4.5"),
+                                       ("stabilized", "maybe")],
+                         ids=["nx-float", "nx-text", "stabilized-text"])
+def test_parse_config_rejects_bad_override(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(None, {key: value})
 
 
 def test_parse_config_rejects_nonpositive_t_final():

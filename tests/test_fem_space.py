@@ -17,7 +17,7 @@ def bary_monomial_mean(a, b, c):
         / math.factorial(a + b + c + 2)
 
 
-@pytest.mark.parametrize("degree", [2, 5, 8])
+@pytest.mark.parametrize("degree", [5, 8])
 def test_rule_basics(degree):
     rule = quadrature_rule(degree)
     assert abs(rule.weights.sum() - 1.0) < 1e-14
@@ -28,12 +28,12 @@ def test_rule_basics(degree):
     assert not rule.points.flags.writeable and not rule.weights.flags.writeable
 
 
-@pytest.mark.parametrize("degree,n_points", [(2, 3), (5, 7), (8, 16)])
+@pytest.mark.parametrize("degree,n_points", [(5, 7), (8, 16)])
 def test_rule_point_counts(degree, n_points):
     assert len(quadrature_rule(degree).weights) == n_points
 
 
-@pytest.mark.parametrize("degree", [2, 5, 8])
+@pytest.mark.parametrize("degree", [5, 8])
 def test_rule_monomial_exactness(degree):
     rule = quadrature_rule(degree)
     l1, l2, l3 = rule.points.T
@@ -43,11 +43,6 @@ def test_rule_monomial_exactness(degree):
                 c = d - a - b
                 val = (rule.weights * l1 ** a * l2 ** b * l3 ** c).sum()
                 assert abs(val - bary_monomial_mean(a, b, c)) < 1e-13
-
-
-def test_rule_constant_is_one():
-    rule = quadrature_rule(2)
-    assert (rule.weights * np.ones(3)).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rule5_mixed_monomial():
@@ -66,8 +61,9 @@ def test_rule8_x_power_eight():
 
 
 def test_unsupported_degree():
-    with pytest.raises(ValueError):
-        quadrature_rule(3)
+    for degree in (2, 3):
+        with pytest.raises(ValueError):
+            quadrature_rule(degree)
 
 
 def test_p1_nodal_and_centroid():
@@ -84,7 +80,7 @@ def test_p1_nodal_and_centroid():
 def test_p1_partition_of_unity_random():
     # every rule point is a barycentric triple, and a P1 field evaluated
     # through it reproduces a linear field at the mapped point
-    for degree in (2, 5, 8):
+    for degree in (5, 8):
         points = quadrature_rule(degree).points
         assert np.abs(points.sum(axis=1) - 1.0).max() < 1e-14
         assert points.min() >= 0.0

@@ -304,7 +304,7 @@ def test_forms_equal_pointwise_sums(nx, theta, t, seed):
                                                           rel=1e-12, abs=0.0)
     _, ref = _reference_indicator(*states, mesh, dt, theta, fn)
     assert obs.result.eta_sq == pytest.approx(dt * ref ** 2, rel=1e-12, abs=0.0)
-    assert obs.result.steps[0]["eta"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert obs.result.steps[0].eta == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # a P1 exact solution: linear in space, exp(-t) in time
@@ -357,7 +357,7 @@ def test_p1_exact_interpolant_has_zero_error(nx, theta, t):
     grad_p = lambda x, y, t: (np.exp(-t) * _P1_P[1] + 0.0 * x,
                               np.exp(-t) * _P1_P[2] + 0.0 * x)
     eta = _observe(mesh, [FieldState(z, z, z, t), FieldState(z, z, p_h, t + dt)], theta,
-                   dt, exact=_P1_EXACT, forcing_fn=grad_p).steps[0]["eta"]
+                   dt, exact=_P1_EXACT, forcing_fn=grad_p).steps[0].eta
     assert eta <= 1e-12
 
 
@@ -374,7 +374,7 @@ def test_residual_form_is_an_identity(nx, theta, t, seed):
     states = [FieldState(*rng.standard_normal((3, mesh.n_vertices)), t + i * dt)
               for i in range(2)]
     fn = manufactured.ManufacturedForcing(MU)
-    eta = _observe(mesh, states, theta, dt, exact=_P1_EXACT, forcing_fn=fn).steps[0]["eta"]
+    eta = _observe(mesh, states, theta, dt, exact=_P1_EXACT, forcing_fn=fn).steps[0].eta
     assert eta == pytest.approx(_reference_indicator(*states, mesh, dt, theta, fn)[1],
                                 rel=1e-12, abs=0.0)
 
@@ -421,7 +421,7 @@ def test_indicator_zero_divergence_contribution():
     z = np.zeros(n)
     acc = _observe(mesh, [FieldState(c, z, z, 0.0), FieldState(c, z, z, 0.1)], 1, 0.1,
                    exact=_ZERO_EXACT)
-    assert acc.steps[0]["eta"] == pytest.approx(0.0, abs=1e-15)
+    assert acc.steps[0].eta == pytest.approx(0.0, abs=1e-15)
 
 
 def test_indicator_decreases_with_h_for_interpolant():
@@ -430,7 +430,7 @@ def test_indicator_decreases_with_h_for_interpolant():
         mesh = build_unit_square_mesh(nx)
         acc = _observe(mesh, [_interp_state(mesh, 0.0), _interp_state(mesh, 0.1)], 1, 0.1,
                        forcing_fn=lambda x, y, t: forcing(x, y, t, MU))
-        etas[nx] = acc.steps[0]["eta"]
+        etas[nx] = acc.steps[0].eta
     assert etas[20] < etas[10]
     assert etas[40] < etas[20]
 
@@ -466,7 +466,7 @@ def test_observer_equals_interval_fold(nx, theta, dt, n_steps):
                  "total", "eta", "err_div_l2l2"):
         assert getattr(res, name) == pytest.approx(getattr(acc, name),
                                                    rel=1e-12, abs=0.0)
-    assert [s["eta"] for s in res.steps] == pytest.approx(etas, rel=1e-12)
+    assert [s.eta for s in res.steps] == pytest.approx(etas, rel=1e-12)
 
 
 def test_verification_solve_bitwise_deterministic():
