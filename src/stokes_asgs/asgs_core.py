@@ -504,6 +504,8 @@ def _nearest_eigenvalues(K, M, sigma, k, n_negative):
     K - sigma M is factored once by LU with diagonal pivots in the caller's
     order, an LDL^T factor whose diag(U) holds the inertia; LinAlgError
     unless the pivots stayed diagonal and ``n_negative`` are negative.
+    Reading ``lu.U`` makes SuperLU build and keep a CSC copy of the factor,
+    and scipy exposes the pivots no other way, so the factor is held twice.
     """
     lu = spla.splu((K - sigma * M).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
@@ -529,10 +531,12 @@ def coercivity_check(mesh, dofmap, params, dt):
     matrix on those dofs and the multiplier, whose row is the mean vector m.
     Shifted by sigma < 0 it has one negative pivot unless S has an
     admissible eigenvalue below sigma (LinAlgError).  ValueError, before
-    assembling, when ``linalg.check_factor_budget`` refuses the pencil.
+    assembling, when ``linalg.check_factor_budget`` refuses two copies of
+    the pencil's factor (``_nearest_eigenvalues`` holds two), from nx=248
+    on the unit square.
     """
     dofs = np.append(_free_dofs(dofmap), dofmap.multiplier_index)
-    linalg.check_factor_budget(dofs.size)
+    linalg.check_factor_budget(dofs.size, 2)
     K = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
                      params)[dofs][:, dofs]
     M = sp.diags(np.append(np.ones(dofs.size - 1), 0.0))
@@ -551,18 +555,25 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     negative pivots (else LinAlgError), and its eigenvalues nearest sigma
     are the zero modes, then -beta_h^2.  LinAlgError when all k found are
     zero modes; ValueError, before assembling, when
-    ``linalg.check_factor_budget`` refuses the pencil.
+    ``linalg.check_factor_budget`` refuses two copies of the pencil's factor
+    (``_nearest_eigenvalues`` holds two), from nx=248 on the unit square.
+    The Dirichlet identity rows and the multiplier border that
+    ``assemble_system`` writes into K lie off ``_free_dofs``.
     """
     dofs = _free_dofs(dofmap)
-    linalg.check_factor_budget(dofs.size)
+    linalg.check_factor_budget(dofs.size, 2)
     a, g, mass, stiff, div = _element_tables(mesh)
     t2 = params.tau2 if stabilized else np.zeros_like(a)
     t1p = params.tau1p if stabilized else np.zeros_like(a)
-    B = [assemble_matrix(mesh, div[:, c]) for c in range(2)]
-    K = sp.bmat([[assemble_matrix(mesh, _grad_div(a, g, t2, c, cp)
-                                  + (stiff + mass if c == cp else 0.0))
-                  for cp in range(2)] + [B[c].T] for c in range(2)]
-                + [B + [assemble_matrix(mesh, -t1p[:, None, None] * stiff)]], format="csr")
+
+    def block(r, c):  # [[A, B^T], [B, -C]]
+        if r < 2 and c < 2:
+            return _grad_div(a, g, t2, r, c) + (stiff + mass if r == c else 0.0)
+        if r < 2:
+            return div[:, r].transpose(0, 2, 1)
+        return div[:, c] if c < 2 else -t1p[:, None, None] * stiff
+
+    K = assemble_system(mesh, dofmap, block)
     M = sp.block_diag([sp.csr_matrix((2 * dofmap.n_u,) * 2),
                        assemble_matrix(mesh, mass)], format="csr")
     # a shift below 0 would mix the zero cluster with -beta_h^2

@@ -16,9 +16,11 @@ solves with the factor itself (Hager's estimator in the block form of
 Higham & Tisseur, SIAM J. Matrix Anal. Appl. 21 (2000), at one column), so
 the factor is never read back: reading SuperLU's ``L`` or ``U`` builds
 and keeps a second copy of the whole factor.
-Every sparse factor, the diagnostics' pencils too, is refused before it
-is factored when its predicted fill exceeds ``FACTOR_BUDGET_BYTES``: on the
-unit square, from nx=334 on.
+Every sparse factor is refused before it is factored when its predicted
+fill, times the copies of it that its caller holds, exceeds
+``FACTOR_BUDGET_BYTES``: on the unit square, from nx=334 on for the step
+factor, held once, and from nx=248 on for the diagnostics' pencils, whose
+inertia read builds and keeps a second copy.
 """
 
 import numpy as np
@@ -31,8 +33,8 @@ import scipy.sparse.linalg as spla
 PIVOT_RTOL = 1e-13
 DIRECT_RESIDUAL_TOL = 1e-10
 
-# Largest predicted size of one sparse factor, whose entries each take an
-# 8-byte value and a 4-byte row index.
+# Largest predicted size of the copies of one sparse factor that a caller
+# holds, whose entries each take an 8-byte value and a 4-byte row index.
 FACTOR_BUDGET_BYTES = 2 ** 30
 FACTOR_ENTRY_BYTES = 12
 
@@ -70,10 +72,11 @@ def predicted_fill(n_rows):
     return int(np.ceil(0.8 * n_rows * np.log2(max(n_rows, 1)) ** 2))
 
 
-def check_factor_budget(n_rows):
-    """FactorBudgetError, a ValueError, when the predicted factor of
-    ``n_rows`` rows exceeds ``FACTOR_BUDGET_BYTES``."""
-    need = FACTOR_ENTRY_BYTES * predicted_fill(n_rows)
+def check_factor_budget(n_rows, copies):
+    """FactorBudgetError, a ValueError, when ``copies`` of the predicted
+    factor of ``n_rows`` rows exceed ``FACTOR_BUDGET_BYTES``: 1 for a factor
+    only solved with, 2 when SuperLU's ``L`` or ``U`` is read as well."""
+    need = copies * FACTOR_ENTRY_BYTES * predicted_fill(n_rows)
     if need > FACTOR_BUDGET_BYTES:
         raise FactorBudgetError(f"the factor of {n_rows} rows is predicted to need "
                          f"{need} bytes, above the budget of "
@@ -87,7 +90,7 @@ class DirectFactor:
     condition gate (module docstring)."""
 
     def __init__(self, A):
-        check_factor_budget(A.n_rows)
+        check_factor_budget(A.n_rows, 1)
         norm = max(spla.norm(A.csc, 1), 1.0)
         try:
             # keep the caller's order and prefer its diagonal pivots; at the

@@ -663,6 +663,42 @@ def test_subscale_decay_factor_exact():
     assert np.abs(nxt.uprime - factor * sub.uprime).max() < 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 12), log_dt_mu=st.floats(-6.0, 0.0),
+       mu=st.sampled_from([1.0, 0.1, 0.001]), theta=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_unforced_energy_never_rises(nx, log_dt_mu, mu, theta, seed):
+    # the paper's stability claim with f = 0 and homogeneous Dirichlet data,
+    # from a random start: under backward Euler neither ||u_h||^2 nor
+    # ||u_h + u'||^2 rises in any step; under Crank-Nicolson only the full
+    # velocity is checked, since ||u_h||^2 oscillates with the undamped start
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=10.0 ** log_dt_mu / mu, n_steps=20)
+    params = StabilizationParams.for_mesh(mesh, mu, C1, C2, scheme.dt_eff)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((2, mesh.n_vertices))
+    u[:, mesh.boundary_mask] = 0.0
+    initial = FieldState(u[0], u[1], np.zeros(mesh.n_vertices), 0.0)
+    mass = assemble_matrix(mesh, _element_tables(mesh)[2])
+    rule = quadrature_rule(asgs_core.ASSEMBLY_QUAD_DEGREE)
+    weights = mesh.areas[:, None] * rule.weights  # (m, nq)
+    energies = []
+
+    def observer(n, state, subscale):
+        u_h = np.stack([state.u1, state.u2])
+        at_points = u_h[:, mesh.triangles] @ rule.points.T  # (2, m, nq)
+        full = at_points + np.moveaxis(subscale.uprime, -1, 0)
+        energies.append((sum(c @ (mass @ c) for c in u_h),
+                         np.sum(weights * (full ** 2).sum(axis=0))))
+
+    solve_transient(mesh, dofmap, scheme, params, lambda x, y, t: (0.0, 0.0), initial,
+                    observer)
+    energies = np.array(energies)
+    checked = energies if theta == 1 else energies[:, 1:]
+    assert np.all(checked[1:] <= checked[:-1] * (1.0 + 1e-12))
+
+
 # ---------------------------------------------------------- diagnostics
 
 @pytest.mark.parametrize("nx", [4, 8])
@@ -753,6 +789,7 @@ def test_diagnostics_refuse_over_factor_budget(monkeypatch):
 
     monkeypatch.setattr(asgs_core, "assemble_lhs", refuse)
     monkeypatch.setattr(asgs_core, "assemble_matrix", refuse)
+    monkeypatch.setattr(asgs_core, "assemble_system", refuse)
     monkeypatch.setattr(linalg, "FACTOR_BUDGET_BYTES", 10 ** 7)
     n_free = 2 * 99 ** 2 + 101 ** 2  # free velocities and all pressures
     for diagnostic, rows in ((lambda: coercivity_check(mesh, dofmap, params, dt=0.1),
@@ -762,7 +799,33 @@ def test_diagnostics_refuse_over_factor_budget(monkeypatch):
         with pytest.raises(ValueError) as info:
             diagnostic()
         assert "budget of 10000000 bytes" in str(info.value)
-        assert str(linalg.FACTOR_ENTRY_BYTES * linalg.predicted_fill(rows)) in str(info.value)
+        # two copies: the factor and the one that reading its U builds
+        assert str(2 * linalg.FACTOR_ENTRY_BYTES * linalg.predicted_fill(rows)) in str(info.value)
+
+
+def test_diagnostics_budget_two_copies_of_their_factor(monkeypatch):
+    # between one and two copies of the nx=20 factors' prediction (1.16 MB
+    # each): the pencils, whose inertia read copies the factor, are refused
+    # before anything is assembled, while the step factor, held once, fits
+    mesh = build_unit_square_mesh(20)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    monkeypatch.setattr(linalg, "FACTOR_BUDGET_BYTES", 1_500_000)
+    step_matrix = assemble_lhs(mesh, dofmap, scheme, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the size guard")
+
+    with monkeypatch.context() as patch:
+        for name in ("assemble_lhs", "assemble_matrix", "assemble_system"):
+            patch.setattr(asgs_core, name, refuse)
+        for diagnostic in (lambda: coercivity_check(mesh, dofmap, params, dt=0.1),
+                           lambda: infsup_constant(mesh, dofmap, True, params),
+                           lambda: infsup_constant(mesh, dofmap, False, params)):
+            with pytest.raises(linalg.FactorBudgetError):
+                diagnostic()
+    ReducedFactor(step_matrix, dofmap)
 
 
 def _raw_block(mesh, dofmap, scheme, params):
@@ -902,6 +965,40 @@ def test_infsup_stabilized_does_not_collapse():
     assert all(b > 0 for b in betas)
     for prev, cur in zip(betas, betas[1:]):
         assert cur / prev >= 0.5
+
+
+@pytest.mark.parametrize("nx", [2, 5, 8])
+@pytest.mark.parametrize("stabilized", [True, False])
+def test_infsup_pencil_equals_bmat_reference(nx, stabilized):
+    # written in place by assemble_system, the pencil gives bitwise the
+    # beta_h of the joined one: its Dirichlet rows and multiplier border lie
+    # off the free dofs that the pencil is sliced to
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
+    got = infsup_constant(mesh, dofmap, stabilized, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asgs_core, "assemble_system", _bmat_reference)
+        want = infsup_constant(mesh, dofmap, stabilized, params)
+    assert got.hex() == want.hex()
+
+
+def test_infsup_stabilized_levels_off_galerkin_falls_as_h():
+    # the paper's discrete inf-sup claim: the stabilized beta_h falls by
+    # shrinking differences per doubling (0.0914, then 0.0565) to a positive
+    # Aitken limit (0.404), while the Galerkin beta_h halves with h
+    betas = []
+    for nx in (16, 32, 64):
+        mesh = build_unit_square_mesh(nx)
+        dofmap = build_dofmap(mesh)
+        params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05)
+        betas.append([infsup_constant(mesh, dofmap, s, params) for s in (True, False)])
+    (s16, g16), (s32, g32), (s64, g64) = betas
+    d1, d2 = s16 - s32, s32 - s64
+    assert 0.0 < d2 < d1
+    assert s64 - d2 ** 2 / (d1 - d2) > 0.0
+    for coarse, fine in ((g16, g32), (g32, g64)):
+        assert 0.45 <= fine / coarse <= 0.55
 
 
 def test_infsup_unstabilized_pencil_has_eight_zero_modes(monkeypatch):
