@@ -30,13 +30,17 @@ trapezoidal rule for d(uprime)/dt + uprime/tau1 = R when alpha = 1/2.
 Second derivatives of P1 fields vanish elementwise, so no Laplacian terms
 appear in the residuals or their adjoints.  The element matrices and
 vectors are summed onto the vertices by ``fem_space.assemble_system``,
-``fem_space.assemble_matrix`` and ``fem_space.assemble_vector``; this
-module only forms the element arrays.  The assembled system replaces
-the Dirichlet velocity rows by identity rows and appends a single Lagrange
-multiplier row/column that pins the pressure mean to zero; this constrained
-matrix is the assembly contract.  The direct solver factorizes only the
-reduced interior system (no Dirichlet rows, no multiplier, one pressure dof
-pinned) and recovers the multiplier exactly (see ``ReducedFactor``).
+``fem_space.assemble_matrix`` and ``fem_space.assemble_vector``.  Moved
+to the right-hand side, u_old enters through the step system's own
+bilinear form with its u_mid terms weighted alpha - 1 instead of alpha, so
+its action is one product with the step system built at alpha - 1, once
+per solve; the load (f_mid and d_k) enters through its P1 element moments.
+The assembled system replaces the Dirichlet velocity rows by identity rows
+and appends a single Lagrange multiplier row/column that pins the pressure
+mean to zero; this constrained matrix is the assembly contract.  The direct
+solver factorizes only the reduced interior system (no Dirichlet rows, no
+multiplier, one pressure dof pinned) and recovers the multiplier exactly
+(see ``ReducedFactor``).
 """
 
 import math
@@ -209,6 +213,30 @@ def _grad_div(a, g, weight, c, cp):
     return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
 
 
+def _step_system(mesh, dofmap, scheme, params, alpha):
+    """The constrained step system of ``assemble_system`` with its u_mid
+    terms (viscosity, grad-div and the continuity divergence) weighted
+    ``alpha``: at the scheme's alpha it acts on the new level
+    (``assemble_lhs``), at alpha - 1 on the old one (``assemble_rhs``)."""
+    a, g, mass, stiff, div = _element_tables(mesh)
+    dt = scheme.dt
+    m_w, t1p = params.m_weights, params.tau1p
+    # time derivative + viscosity on each velocity component
+    diag_block = (params.w_weights / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
+
+    def block(r, c):
+        if r < 2 and c < 2:  # velocity-velocity, with grad-div across components
+            return _grad_div(a, g, alpha * params.tau2, r, c) + (diag_block if r == c else 0.0)
+        if r < 2:  # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
+            return (-div[:, r].transpose(0, 2, 1)
+                    - (m_w * a / 3.0)[:, None, None] * g[:, None, :, r])
+        if c < 2:  # continuity-velocity: (div u_mid, q) and tau1p*(u/dt, grad q)
+            return alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
+        return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
+
+    return assemble_system(mesh, dofmap, block)
+
+
 def assemble_lhs(mesh, dofmap, scheme, params):
     """System matrix for one step, the scipy CSR of ``assemble_system``: the
     Dirichlet velocity rows are identity rows and the mean-pressure
@@ -221,23 +249,7 @@ def assemble_lhs(mesh, dofmap, scheme, params):
     if abs(params.dt_eff - scheme.dt_eff) > 1e-12 * scheme.dt_eff:
         raise ValueError(f"params.dt_eff {params.dt_eff} differs from the "
                          f"scheme's dt_eff {scheme.dt_eff}")
-    a, g, mass, stiff, div = _element_tables(mesh)
-    alpha, dt = scheme.alpha, scheme.dt
-    m_w, t1p = params.m_weights, params.tau1p
-    # time derivative + viscosity on each velocity component
-    diag_block = (params.w_weights / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
-
-    def block(r, c):
-        if r < 2 and c < 2:  # velocity-velocity, with grad-div across components
-            return _grad_div(a, g, alpha * params.tau2, r, c) + (diag_block if r == c else 0.0)
-        if r < 2:  # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
-            return (-div[:, r].transpose(0, 2, 1)
-                    - (m_w * a / 3.0)[:, None, None] * g[:, None, :, r])
-        if c < 2:  # continuity-velocity: (div u_mid, q) and tau1p*(u_new/dt, grad q)
-            return alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
-        return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
-
-    return assemble_system(mesh, dofmap, block)
+    return _step_system(mesh, dofmap, scheme, params, scheme.alpha)
 
 
 def _forcing_at(forcing, pts, t):
@@ -246,39 +258,31 @@ def _forcing_at(forcing, pts, t):
     return np.stack([np.broadcast_to(f, x.shape) for f in forcing(x, y, t)], axis=-1)
 
 
-class LevelForcing:
-    """A forcing at the assembly points, as contiguous components (2, m, nq).
+def _pointwise(forcing, mesh, t):
+    """``forcing`` at time t at the assembly points, as contiguous
+    components (2, m, nq)."""
+    pts = mesh.quad_points(quadrature_rule(ASSEMBLY_QUAD_DEGREE))
+    return np.ascontiguousarray(np.moveaxis(_forcing_at(forcing, pts, t), -1, 0))
+
+
+def _interval_forcing(forcing, mesh, t_old, t_new, alpha):
+    """alpha*f(t_new) + (1-alpha)*f(t_old) at the assembly points, (2, m, nq).
 
     A separable forcing declares a ``time_factor(t)`` with forcing(x, y, t)
-    = time_factor(t) * forcing(x, y, 0).  It is evaluated once per mesh, as
-    F0 on ``Mesh.table`` under the forcing itself (so it must be hashable).
-    Any other forcing is evaluated pointwise at an interval's levels on each
-    use.
+    = time_factor(t) * forcing(x, y, 0).  Its F0 is evaluated once per mesh
+    and kept on ``Mesh.table`` under the forcing itself (so it must be
+    hashable), without the points it was evaluated at, and an interval is
+    one pass over it.  Any other forcing is evaluated pointwise at the
+    interval's levels on each call.
     """
-
-    def __init__(self, forcing, mesh):
-        self.forcing = forcing
-        self.pts = mesh.quad_points(quadrature_rule(ASSEMBLY_QUAD_DEGREE))
-        self.time_factor = getattr(forcing, "time_factor", None)
-        self.f0 = None if self.time_factor is None else mesh.table(
-            ("forcing", forcing), lambda _: self._pointwise(0.0))
-
-    def _pointwise(self, t):
-        return np.ascontiguousarray(np.moveaxis(_forcing_at(self.forcing, self.pts, t), -1, 0))
-
-    def interval(self, t_old, t_new, alpha):
-        """alpha*f(t_new) + (1-alpha)*f(t_old), in one pass over F0 when the
-        forcing is separable."""
-        if self.f0 is not None:
-            c = self.time_factor
-            return (alpha * c(t_new) + (1 - alpha) * c(t_old)) * self.f0
-        if alpha == 1:  # backward Euler gives t_old no weight
-            return self._pointwise(t_new)
-        return alpha * self._pointwise(t_new) + (1 - alpha) * self._pointwise(t_old)
-
-
-def _levels(forcing, mesh):
-    return forcing if isinstance(forcing, LevelForcing) else LevelForcing(forcing, mesh)
+    c = getattr(forcing, "time_factor", None)
+    if c is not None:
+        f0 = mesh.table(("forcing", forcing), lambda mesh: _pointwise(forcing, mesh, 0.0))
+        return (alpha * c(t_new) + (1 - alpha) * c(t_old)) * f0
+    f = _pointwise(forcing, mesh, t_new)
+    if alpha == 1:  # backward Euler gives t_old no weight
+        return f
+    return alpha * f + (1 - alpha) * _pointwise(forcing, mesh, t_old)
 
 
 def _gradient(values, g):
@@ -288,44 +292,33 @@ def _gradient(values, g):
             for e in range(2)]
 
 
-def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing):
+def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
+                 old_action=None):
     """Right-hand side for the step starting from ``state_n``.
 
-    ``forcing`` is forcing(x, y, t) or a ``LevelForcing`` of it.  Each
-    velocity component is worked on as a contiguous (m, 3) array of element
-    values and an (m, nq) array at the assembly points.
+    The old level enters through ``old_action``, the step system at
+    alpha - 1 (``_step_system``), applied to [u1, u2, 0, 0] of ``state_n``;
+    it is built here when not given.  The load, the interval forcing of
+    ``_interval_forcing`` plus the subscale history uprime^n/dt_eff, enters
+    through its P1 element moments at the assembly points.
     """
-    tri, a, g = mesh.triangles, mesh.areas, mesh.shape_gradients
-    alpha, dt, dt_eff = scheme.alpha, scheme.dt, scheme.dt_eff
-    w_a, t1p, t2 = params.w_weights * a, params.tau1p, params.tau2
+    if old_action is None:
+        old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+    a, g = mesh.areas, mesh.shape_gradients
+    w_a, t1p_a = params.w_weights * a, params.tau1p * a
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
     moments = rule.weights[:, None] * rule.points  # (nq, 3), per unit area
 
-    f = _levels(forcing, mesh).interval(state_n.t, state_n.t + dt, alpha)
-    u = [state_n.u1[tri], state_n.u2[tri]]
-    grad = [_gradient(u_c, g) for u_c in u]  # grad[c][e] = du_c/dx_e
-    div_un = grad[0][0] + grad[1][1]
-
-    parts = []
-    cont = -((1 - alpha) * a / 3.0 * div_un)[:, None] * np.ones(3)
+    f = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, scheme.alpha)
+    parts, cont = [], 0.0
     for c in range(2):
-        # forcing plus the subscale history d = uprime^n/dt_eff
-        load = subscale_n.uprime[..., c] / dt_eff
+        load = subscale_n.uprime[..., c] / scheme.dt_eff
         load += f[c]
-        total = u[c][:, 0] + u[c][:, 1] + u[c][:, 2]
-        # (1 - alpha) a times the viscous flux mu grad u_c, plus the
-        # grad-div flux tau2 div u on component c
-        flux = [(1 - alpha) * params.mu * a * grad[c][e] for e in range(2)]
-        flux[c] += (1 - alpha) * t2 * a * div_un
-        vec = u[c] + total[:, None]  # the mass action, times 12/a
-        vec *= (w_a / (12.0 * dt))[:, None]
-        vec -= g[:, :, 0] * flux[0][:, None]
-        vec -= g[:, :, 1] * flux[1][:, None]
-        vec += w_a[:, None] * (load @ moments)
-        parts.append(assemble_vector(mesh, vec))
-        # continuity rows: tau1p (u_old/dt + f + d, grad q)
-        cont += g[:, :, c] * (t1p * a * (total / (3.0 * dt) + load @ rule.weights))[:, None]
-    rhs = np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
+        parts.append(assemble_vector(mesh, w_a[:, None] * (load @ moments)))
+        # continuity rows: tau1p (f + d, grad q)
+        cont = cont + g[:, :, c] * (t1p_a * (load @ rule.weights))[:, None]
+    rhs = old_action @ np.concatenate([state_n.u1, state_n.u2, np.zeros(dofmap.n_p + 1)])
+    rhs += np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
     rhs[dofmap.dirichlet_dofs] = 0.0
     return rhs
 
@@ -346,7 +339,7 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
     # (3, nq), contiguous: a BLAS product with a transposed view is slower
     to_points = np.ascontiguousarray(quadrature_rule(ASSEMBLY_QUAD_DEGREE).points.T)
-    f = _levels(forcing, mesh).interval(state_old.t, state_old.t + dt, alpha)
+    f = _interval_forcing(forcing, mesh, state_old.t, state_old.t + dt, alpha)
     grad_p = _gradient(state_new.p[tri], mesh.shape_gradients)
     A = (params.tau1p / alpha)[:, None]
     B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None]
@@ -433,17 +426,18 @@ class ReducedFactor:
             f"{linalg.DIRECT_RESIDUAL_TOL:.0e}")
 
 
-def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None):
+def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None,
+         old_action=None):
     """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
 
-    ``factor`` is the step matrix's ``ReducedFactor``; it is built here when
-    not given.  ``assemble_rhs`` and ``update_subscales`` share one
-    ``LevelForcing``.
+    ``factor`` is the step matrix's ``ReducedFactor`` and ``old_action``
+    the old level's action of ``assemble_rhs``; each is built when not
+    given, the factor first.
     """
     if factor is None:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-    forcing = _levels(forcing, mesh)
-    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing)
+    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
+                       old_action)
     x = factor.solve(rhs)
 
     n_u, n_p = dofmap.n_u, dofmap.n_p
@@ -462,11 +456,11 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     The observer, if given, is called as observer(n, state, subscale) for
     n = 0 (initial data) through n_steps; it accumulates norms, or collects
     the trajectory, along the loop.  Step failures are re-raised as
-    StepFailureError carrying the 1-based failing step index.  The forcing
-    is evaluated once per mesh when separable, else at each interval's
-    levels on each use (``LevelForcing``).
+    StepFailureError carrying the 1-based failing step index.  The step
+    factor and the old level's action of ``assemble_rhs`` are built once,
+    the action after the factor, so that it takes the memory the factor's
+    reduced matrix freed; the forcing is as in ``_interval_forcing``.
     """
-    forcing = LevelForcing(forcing, mesh)
     subscale = SubscaleState.zeros(mesh)
     state = initial
     if observer is not None:
@@ -478,10 +472,11 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     except linalg.SingularMatrixError as exc:
         # factorization is part of taking the first step
         raise StepFailureError(1, str(exc)) from exc
+    old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
     for n in range(1, scheme.n_steps + 1):
         try:
             state, subscale = step(mesh, dofmap, state, subscale, scheme, params,
-                                   forcing, factor)
+                                   forcing, factor, old_action)
         except linalg.SingularMatrixError as exc:
             raise StepFailureError(n, str(exc)) from exc
         if observer is not None:

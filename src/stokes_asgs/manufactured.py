@@ -107,7 +107,7 @@ class ManufacturedForcing:
     """``forcing`` at viscosity ``mu``, callable as forcing(x, y, t).
 
     It declares itself separable, forcing(x, y, t) = exp(-t) forcing(x, y, 0),
-    so the solver evaluates it once per mesh (``asgs_core.LevelForcing``),
+    so the solver evaluates it once per mesh (``asgs_core._interval_forcing``),
     where a plain callable is evaluated at an interval's levels on each use.
     """
 
@@ -365,7 +365,8 @@ class _VerificationObserver:
         dt, alpha = self.scheme.dt, self.scheme.alpha
         e_mid = alpha * e + (1 - alpha) * prev.error
         c_mid = alpha * c + (1 - alpha) * prev.c
-        mid_l2 = forms.velocity.square(e_mid, c_mid)
+        # backward Euler: e_mid = e and c_mid = c
+        mid_l2 = level.l2_sq if alpha == 1 else forms.velocity.square(e_mid, c_mid)
         c_p = math.exp(-(prev.state.t + alpha * dt))
         div_mid = _theta_divergence(self.mesh, prev.state, state, alpha)
         parts = {

@@ -135,9 +135,18 @@ def test_assembly_matches_dense_oracle(theta):
 
 
 def test_galerkin_switch_matches_oracle():
+    _check_galerkin_against_oracle(theta=1)
+
+
+def test_galerkin_switch_matches_oracle_crank_nicolson():
+    # at theta = 0 the old level's action carries the -1/2 viscous weight
+    _check_galerkin_against_oracle(theta=0)
+
+
+def _check_galerkin_against_oracle(theta):
     mesh = build_unit_square_mesh(2)
     dofmap = build_dofmap(mesh)
-    scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
+    scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                           stabilized=False)
     state = _random_state(mesh, seed=3)
@@ -147,6 +156,42 @@ def test_galerkin_switch_matches_oracle():
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 3), theta=st.sampled_from([0, 1]),
+       dt=st.floats(1e-3, 1.0), mu=st.floats(1e-2, 1.0),
+       c1=st.floats(1.0, 20.0), c2=st.floats(0.1, 5.0),
+       separable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rhs_matches_dense_oracle(nx, theta, dt, mu, c1, c2, separable, seed):
+    # the old level's action as the step system at alpha - 1, plus the
+    # load's moments, against the oracle's element loops
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
+    state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
+    fn = ManufacturedForcing(mu) if separable else _forcing_fn(mu)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
+    _, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn(mu))
+    assert np.abs(rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+
+
+def test_solve_builds_the_old_level_action_once_after_the_factor(monkeypatch):
+    # the step matrix, its factor, then the old level's action, once per
+    # solve: built under the factor it would add to the solve's peak memory
+    calls = []
+    system, factor_init = asgs_core.assemble_system, linalg.DirectFactor.__init__
+    monkeypatch.setattr(asgs_core, "assemble_system",
+                        lambda *args: calls.append("system") or system(*args))
+    monkeypatch.setattr(linalg.DirectFactor, "__init__",
+                        lambda *args: calls.append("factor") or factor_init(*args))
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=0, dt=0.1, n_steps=4)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), _initial_state(mesh))
+    assert calls == ["system", "factor", "system"]
 
 
 def test_stabilization_vanishes_for_huge_c1():

@@ -524,18 +524,18 @@ def test_separable_levels_equal_pointwise_forcing(nx, t):
     # and its Crank-Nicolson combination as pointwise evaluation does
     mesh = build_unit_square_mesh(nx)
     fn = manufactured.ManufacturedForcing(MU)
-    levels = asgs_core.LevelForcing(fn, mesh)
-    assert levels.f0 is not None
+    pts = mesh.quad_points(quadrature_rule(asgs_core.ASSEMBLY_QUAD_DEGREE))
 
     def pointwise(s):  # components first, as the solver keeps them
-        return np.moveaxis(asgs_core._forcing_at(fn, levels.pts, s), -1, 0)
+        return np.moveaxis(asgs_core._forcing_at(fn, pts, s), -1, 0)
 
     dt = 0.1
-    for got, want in ((levels.interval(t - dt, t, 1), pointwise(t)),
-                      (levels.interval(t, t + dt, 0.5),
+    for got, want in ((asgs_core._interval_forcing(fn, mesh, t - dt, t, 1), pointwise(t)),
+                      (asgs_core._interval_forcing(fn, mesh, t, t + dt, 0.5),
                        0.5 * pointwise(t + dt) + 0.5 * pointwise(t))):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    mesh.table(("forcing", fn), lambda _: pytest.fail("F0 is not kept on the mesh"))
 
 
 def test_time_study_builds_per_mesh_work_once(monkeypatch):

@@ -37,6 +37,8 @@ def test_traced_solve_records_indicator_and_factor():
         t.uninstall()
     names = [span[0] for span in t.spans]
     assert names.count("manufactured.residual_indicator") == 2
+    # the old level's action of the right-hand side is built outside it
+    assert names.count("asgs_core.assemble_lhs") == 1
     assert len(t.factors) == 1
     assert tracer.wrapped_sites(stokes_asgs) == []
     # the record's sizes are those of the reduced step matrix
