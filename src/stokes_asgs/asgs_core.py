@@ -459,8 +459,10 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     StepFailureError carrying the 1-based failing step index.  The step
     factor and the old level's action of ``assemble_rhs`` are built once,
     the action after the factor, so that it takes the memory the factor's
-    reduced matrix freed; the forcing is as in ``_interval_forcing``.
+    reduced matrix freed; the forcing is as in ``_interval_forcing``.  The
+    factor's budget is checked before the observer or any assembly runs.
     """
+    linalg.check_factor_budget(_free_dofs(dofmap).size - 1, 1)  # a pinned pressure
     subscale = SubscaleState.zeros(mesh)
     state = initial
     if observer is not None:

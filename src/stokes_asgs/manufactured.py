@@ -124,22 +124,6 @@ class ManufacturedForcing:
 DEFAULT_EXACT = (exact_velocity, exact_velocity_gradient, exact_pressure)
 
 
-def _theta_divergence(mesh, state_n, state_np1, alpha):
-    """Elementwise divergence of alpha*u^{n+1} + (1-alpha)*u^n."""
-    um = np.stack([alpha * state_np1.u1 + (1 - alpha) * state_n.u1,
-                   alpha * state_np1.u2 + (1 - alpha) * state_n.u2], axis=-1)
-    return np.einsum("kic,kic->k", mesh.shape_gradients,
-                     np.take(um, mesh.triangles, axis=0))
-
-
-def _fold(acc, parts, dt):
-    acc.u_l2l2_sq += dt * parts["mid_l2"]
-    acc.u_l2h1_sq += dt * parts["mid_h1"]
-    acc.u_max_l2_sq = max(acc.u_max_l2_sq, parts["snap_n"], parts["snap_p"])
-    acc.p_l2l2_sq += dt * parts["p_l2"]
-    acc.div_l2l2_sq += dt * parts["div_l2"]
-
-
 def residual_indicator(form, values, c, div_sq):
     """Residual error indicator of one interval, eta^2 = sum_k h_k^2
     ||R1||_k^2 + ||R2||^2, with the subscale-free residuals R1 = c f0 - du_h
@@ -323,8 +307,9 @@ def _error_forms(mesh, exact, forcing_fn):
     return _Forms(l2[0], gradient, l2[1], residual)
 
 
-# one time level: its state, exp(-t), nodal velocity error and squared L2 error
-_Level = namedtuple("_Level", "state c error l2_sq")
+# one time level: its state, exp(-t), stacked nodal velocity [u1 u2], nodal
+# velocity error and squared L2 error
+_Level = namedtuple("_Level", "state c velocity error l2_sq")
 
 
 class _VerificationObserver:
@@ -334,11 +319,12 @@ class _VerificationObserver:
     Every norm and the indicator's R1 part is a form in nodal errors (see the
     module docstring); the forms are built on the first n = 0 call on a
     mesh, inside the time loop, and kept on ``Mesh.table`` for later solves
-    on it.  A level keeps its nodal velocity error e: the interval error is
-    that of alpha*e^{n+1} + (1-alpha)*e^n with the weight
-    c_f = alpha*c^{n+1} + (1-alpha)*c^n, which also weights the forcing in
-    R1 of du = (u^{n+1} - u^n)/dt and p^{n+1}.  The pressure error is
-    weighted by c_p = exp(-(t_n + alpha*dt)).
+    on it.  A level keeps its stacked velocity v and its nodal velocity
+    error e: the interval error is that of alpha*e^{n+1} + (1-alpha)*e^n
+    with the weight c_f = alpha*c^{n+1} + (1-alpha)*c^n, which also weights
+    the forcing in R1 of du = (v^{n+1} - v^n)/dt and p^{n+1}, and R2 is the
+    elementwise divergence of alpha*v^{n+1} + (1-alpha)*v^n.  The pressure
+    error is weighted by c_p = exp(-(t_n + alpha*dt)).
     """
 
     def __init__(self, mesh, scheme, forcing_fn, exact):
@@ -355,35 +341,37 @@ class _VerificationObserver:
             self.forms = self.mesh.table(
                 ("error_forms", self.exact, self.forcing_fn),
                 lambda mesh: _error_forms(mesh, self.exact, self.forcing_fn))
-        forms, prev = self.forms, self._prev
+        forms, prev, mesh = self.forms, self._prev, self.mesh
         c = math.exp(-state.t)
-        e = forms.velocity.error(np.stack([state.u1, state.u2], axis=-1), c)
-        level = _Level(state, c, e, forms.velocity.square(e, c))
+        v = np.stack([state.u1, state.u2], axis=-1)
+        e = forms.velocity.error(v, c)
+        level = _Level(state, c, v, e, forms.velocity.square(e, c))
         self._prev = level
         if prev is None:
             return
-        dt, alpha = self.scheme.dt, self.scheme.alpha
+        dt, alpha, acc = self.scheme.dt, self.scheme.alpha, self.result
         e_mid = alpha * e + (1 - alpha) * prev.error
         c_mid = alpha * c + (1 - alpha) * prev.c
         # backward Euler: e_mid = e and c_mid = c
         mid_l2 = level.l2_sq if alpha == 1 else forms.velocity.square(e_mid, c_mid)
+        mid_h1 = mid_l2 + forms.gradient.square(e_mid, c_mid)
         c_p = math.exp(-(prev.state.t + alpha * dt))
-        div_mid = _theta_divergence(self.mesh, prev.state, state, alpha)
-        parts = {
-            "snap_n": prev.l2_sq, "snap_p": level.l2_sq, "mid_l2": mid_l2,
-            "mid_h1": mid_l2 + forms.gradient.square(e_mid, c_mid),
-            "p_l2": forms.pressure.square(
-                forms.pressure.error(state.p[:, None], c_p), c_p),
-            "div_l2": float(np.sum(self.mesh.areas * div_mid ** 2)),
-        }
-        values = np.stack([(state.u1 - prev.state.u1) / dt,
-                           (state.u2 - prev.state.u2) / dt, state.p], axis=-1)
-        eta = residual_indicator(forms.residual, values, c_mid, parts["div_l2"])
-        _fold(self.result, parts, dt)
-        self.result.eta_sq += dt * eta ** 2
-        self.result.steps.append(StepRecord(
-            n, state.t, math.sqrt(parts["mid_l2"]), math.sqrt(parts["mid_h1"]),
-            math.sqrt(parts["p_l2"]), eta))
+        p_l2 = forms.pressure.square(forms.pressure.error(state.p[:, None], c_p), c_p)
+        div_mid = np.einsum("kic,kic->k", mesh.shape_gradients,
+                            np.take(alpha * v + (1 - alpha) * prev.velocity,
+                                    mesh.triangles, axis=0))
+        div_l2 = float(np.sum(mesh.areas * div_mid ** 2))
+        eta = residual_indicator(forms.residual,
+                                 np.column_stack([(v - prev.velocity) / dt, state.p]),
+                                 c_mid, div_l2)
+        acc.u_l2l2_sq += dt * mid_l2
+        acc.u_l2h1_sq += dt * mid_h1
+        acc.u_max_l2_sq = max(acc.u_max_l2_sq, prev.l2_sq, level.l2_sq)
+        acc.p_l2l2_sq += dt * p_l2
+        acc.div_l2l2_sq += dt * div_l2
+        acc.eta_sq += dt * eta ** 2
+        acc.steps.append(StepRecord(n, state.t, math.sqrt(mid_l2), math.sqrt(mid_h1),
+                                    math.sqrt(p_l2), eta))
 
 
 def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,

@@ -357,7 +357,8 @@ def test_step_failure_carries_index():
 
 
 def test_step_factor_refused_over_budget(monkeypatch):
-    # the size is refused from the predicted fill, before SuperLU runs
+    # the size is refused from the predicted fill, before the observer, the
+    # assembly or SuperLU runs
     mesh = build_unit_square_mesh(8)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=3)
@@ -365,15 +366,18 @@ def test_step_factor_refused_over_budget(monkeypatch):
     rows = 2 * 7 ** 2 + 9 ** 2 - 1  # one pressure is pinned
     need = linalg.FACTOR_ENTRY_BYTES * linalg.predicted_fill(rows)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("factored over the budget")
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} over the budget")
+        return call
 
     with monkeypatch.context() as patch:
-        patch.setattr(linalg.spla, "splu", refuse)
+        patch.setattr(linalg.spla, "splu", refuse("factored"))
+        patch.setattr(asgs_core, "assemble_system", refuse("assembled"))
         patch.setattr(linalg, "FACTOR_BUDGET_BYTES", need - 1)
         with pytest.raises(ValueError) as info:
             solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
-                            _initial_state(mesh))
+                            _initial_state(mesh), observer=refuse("observed"))
     assert f"budget of {need - 1} bytes" in str(info.value)
     assert str(need) in str(info.value)
     # the unstabilized systems still fail in the factorization itself
