@@ -2,7 +2,10 @@
 """The dynamic subscale recursion, isolated.
 
 Under backward Euler (theta=1) the subscale velocity at each quadrature
-point obeys uprime_{n+1} = tau1p * (R1 + uprime_n / dt_eff).  Two regimes:
+point obeys uprime_{n+1} = tau1p * (R1 + uprime_n / dt_eff).  With the
+states frozen at zero, R1 is the interval forcing that ``update_subscales``
+takes, here an array of its values at the (2, m, 7) assembly points.  Two
+regimes:
 
 - frozen residual: the history builds up a geometric partial sum that
   approaches the quasi-static limit tau1 * R1;
@@ -23,7 +26,8 @@ zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                   np.zeros(mesh.n_vertices), 0.0)
 
 print("frozen residual R1 = (1, 0): growth toward the quasi-static limit")
-frozen = lambda x, y, t: (1.0 + 0.0 * x, 0.0 * x)
+frozen = np.zeros((2, mesh.n_triangles, 7))
+frozen[0] = 1.0
 sub = SubscaleState.zeros(mesh)
 limit = params.tau1[0]  # tau1 * |R1| with |R1| = 1
 for n in range(1, 11):
@@ -33,7 +37,7 @@ for n in range(1, 11):
 
 print()
 print("zero residual: geometric decay")
-fzero = lambda x, y, t: (0.0 * x, 0.0 * x)
+fzero = np.zeros((2, mesh.n_triangles, 7))
 rng = np.random.default_rng(1)
 sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
 factor = params.tau1[0] / (scheme.dt_eff + params.tau1[0])

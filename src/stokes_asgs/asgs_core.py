@@ -32,9 +32,9 @@ appear in the residuals or their adjoints.  The element matrices and
 vectors are summed onto the vertices by ``fem_space.assemble_system``,
 ``fem_space.assemble_matrix`` and ``fem_space.assemble_vector``.  Moved
 to the right-hand side, u_old enters through the step system's own
-bilinear form with its u_mid terms weighted alpha - 1 instead of alpha, so
-its action is one product with the step system built at alpha - 1, once
-per solve; the load (f_mid and d_k) enters through its P1 element moments.
+bilinear form with its u_mid terms at weight alpha - 1, so its action is
+one product with the step system built at alpha - 1, once per solve; the
+load (d_k and f_mid, which ``step`` forms once) enters by P1 element moments.
 The assembled system replaces the Dirichlet velocity rows by identity rows
 and appends a single Lagrange multiplier row/column that pins the pressure
 mean to zero; this constrained matrix is the assembly contract.  The direct
@@ -292,15 +292,15 @@ def _gradient(values, g):
             for e in range(2)]
 
 
-def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
+def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, f_mid,
                  old_action=None):
     """Right-hand side for the step starting from ``state_n``.
 
     The old level enters through ``old_action``, the step system at
     alpha - 1 (``_step_system``), applied to [u1, u2, 0, 0] of ``state_n``;
-    it is built here when not given.  The load, the interval forcing of
-    ``_interval_forcing`` plus the subscale history uprime^n/dt_eff, enters
-    through its P1 element moments at the assembly points.
+    it is built here when not given.  The load, the step's interval forcing
+    ``f_mid`` (2, m, nq) at the assembly points plus the subscale history
+    uprime^n/dt_eff, enters through its P1 element moments.
     """
     if old_action is None:
         old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
@@ -309,11 +309,10 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
     moments = rule.weights[:, None] * rule.points  # (nq, 3), per unit area
 
-    f = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, scheme.alpha)
     parts, cont = [], 0.0
     for c in range(2):
         load = subscale_n.uprime[..., c] / scheme.dt_eff
-        load += f[c]
+        load += f_mid[c]
         parts.append(assemble_vector(mesh, w_a[:, None] * (load @ moments)))
         # continuity rows: tau1p (f + d, grad q)
         cont = cont + g[:, :, c] * (t1p_a * (load @ rule.weights))[:, None]
@@ -323,7 +322,7 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
     return rhs
 
 
-def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, forcing):
+def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, f_mid):
     """Advance the subscale history one step.
 
     At every assembly quadrature point the step solves for the interval
@@ -333,34 +332,25 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, for
     uprime_new = (uprime_mid - (1 - alpha)*uprime_old)/alpha, that is
     A*R1 + B*uprime_old with A = tau1p/alpha and
     B = (tau1p/dt_eff - (1 - alpha))/alpha per element.  For backward Euler
-    (alpha = 1) the two levels coincide.  ``forcing`` is as in
-    ``assemble_rhs``.
+    (alpha = 1) the two levels coincide.  ``f_mid`` is the step's interval
+    forcing, as in ``assemble_rhs``.
     """
     tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
     # (3, nq), contiguous: a BLAS product with a transposed view is slower
     to_points = np.ascontiguousarray(quadrature_rule(ASSEMBLY_QUAD_DEGREE).points.T)
-    f = _interval_forcing(forcing, mesh, state_old.t, state_old.t + dt, alpha)
     grad_p = _gradient(state_new.p[tri], mesh.shape_gradients)
     A = (params.tau1p / alpha)[:, None]
     B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None]
-    uprime = np.empty(f.shape)
+    uprime = np.empty(f_mid.shape)
     for c, (new, old) in enumerate(((state_new.u1, state_old.u1),
                                     (state_new.u2, state_old.u2))):
         resid = ((new - old) / dt)[tri] @ to_points
-        np.subtract(f[c], resid, out=resid)
+        np.subtract(f_mid[c], resid, out=resid)
         resid -= grad_p[c][:, None]
         resid *= A
         np.multiply(B, subscale_n.uprime[..., c], out=uprime[c])
         uprime[c] += resid
     return SubscaleState(np.moveaxis(uprime, 0, -1))
-
-
-def _free_dofs(dofmap):
-    """Velocity and pressure dofs off the Dirichlet boundary, as (u1, u2, p)
-    per vertex in ``dofmap.elimination_order``: the order in which every
-    sparse factor of the package is taken."""
-    dofs = (dofmap.elimination_order[:, None] + dofmap.n_u * np.arange(3)).ravel()
-    return dofs[~dofmap.dirichlet_mask()[dofs]]
 
 
 class ReducedFactor:
@@ -387,7 +377,7 @@ class ReducedFactor:
         self.mean = dofmap.mean_vector
         self.p_block = slice(2 * dofmap.n_u, dofmap.multiplier_index)
         self.multiplier = dofmap.multiplier_index
-        free = _free_dofs(dofmap)
+        free = dofmap.free_dofs
         self.kept = free[free != self.p_block.start]  # the first pressure is pinned
         self.factor = linalg.DirectFactor(
             linalg.SparseMatrix(matrix[self.kept][:, self.kept]))
@@ -430,21 +420,21 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
          old_action=None):
     """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
 
-    ``factor`` is the step matrix's ``ReducedFactor`` and ``old_action``
-    the old level's action of ``assemble_rhs``; each is built when not
-    given, the factor first.
+    ``factor`` is the step matrix's ``ReducedFactor``, ``old_action`` the old
+    level's action of ``assemble_rhs``, each built when not given, the factor
+    first; f_mid, the interval forcing, is evaluated once for both kernels.
     """
     if factor is None:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, forcing,
-                       old_action)
+    f_mid = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, scheme.alpha)
+    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, f_mid, old_action)
     x = factor.solve(rhs)
 
     n_u, n_p = dofmap.n_u, dofmap.n_p
     state_new = FieldState(u1=x[:n_u], u2=x[n_u:2 * n_u],
                            p=x[2 * n_u:2 * n_u + n_p], t=state_n.t + scheme.dt)
     subscale_new = update_subscales(mesh, state_new, state_n, subscale_n,
-                                    scheme, params, forcing)
+                                    scheme, params, f_mid)
     return state_new, subscale_new
 
 
@@ -462,7 +452,7 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     reduced matrix freed; the forcing is as in ``_interval_forcing``.  The
     factor's budget is checked before the observer or any assembly runs.
     """
-    linalg.check_factor_budget(_free_dofs(dofmap).size - 1, 1)  # a pinned pressure
+    linalg.check_factor_budget(dofmap.free_dofs.size - 1, 1)  # a pinned pressure
     subscale = SubscaleState.zeros(mesh)
     state = initial
     if observer is not None:
@@ -522,8 +512,8 @@ def coercivity_check(mesh, dofmap, params, dt):
 
     S = (A + A^T)/2 for the raw backward-Euler operator A at ``dt``, which
     must be finite, positive and equal ``params.dt_eff`` (ValueError from
-    ``TimeScheme`` and ``assemble_lhs``), on the ``_free_dofs``, where the step
-    matrix holds A.  That is the least eigenvalue of the pencil
+    ``TimeScheme`` and ``assemble_lhs``), on ``dofmap.free_dofs``, where the
+    step matrix holds A.  That is the least eigenvalue of the pencil
     [[S, m], [m^T, 0]] x = lam diag(I, 0) x: the symmetric part of the step
     matrix on those dofs and the multiplier, whose row is the mean vector m.
     Shifted by sigma < 0 it has one negative pivot unless S has an
@@ -532,7 +522,7 @@ def coercivity_check(mesh, dofmap, params, dt):
     the pencil's factor (``_nearest_eigenvalues`` holds two), from nx=248
     on the unit square.
     """
-    dofs = np.append(_free_dofs(dofmap), dofmap.multiplier_index)
+    dofs = np.append(dofmap.free_dofs, dofmap.multiplier_index)
     linalg.check_factor_budget(dofs.size, 2)
     K = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
                      params)[dofs][:, dofs]
@@ -548,16 +538,16 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     on the free velocities, B the divergence, C the pressure-Laplacian block
     when ``stabilized`` (else 0), M_p the pressure mass matrix.  So it is
     -lam of the pencil [[A, B^T], [B, -C]] x = lam diag(0, M_p) x on the
-    ``_free_dofs``; shifted by sigma > 0 that is quasi-definite with n_p
+    ``dofmap.free_dofs``; shifted by sigma > 0 that is quasi-definite with n_p
     negative pivots (else LinAlgError), and its eigenvalues nearest sigma
     are the zero modes, then -beta_h^2.  LinAlgError when all k found are
     zero modes; ValueError, before assembling, when
     ``linalg.check_factor_budget`` refuses two copies of the pencil's factor
     (``_nearest_eigenvalues`` holds two), from nx=248 on the unit square.
     The Dirichlet identity rows and the multiplier border that
-    ``assemble_system`` writes into K lie off ``_free_dofs``.
+    ``assemble_system`` writes into K lie off ``dofmap.free_dofs``.
     """
-    dofs = _free_dofs(dofmap)
+    dofs = dofmap.free_dofs
     linalg.check_factor_budget(dofs.size, 2)
     a, g, mass, stiff, div = _element_tables(mesh)
     t2 = params.tau2 if stabilized else np.zeros_like(a)

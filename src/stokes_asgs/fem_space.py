@@ -142,10 +142,12 @@ class DofMap:
     def multiplier_index(self):
         return 2 * self.n_u + self.n_p
 
-    def dirichlet_mask(self):
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_dofs] = True
-        return mask
+    @property
+    def free_dofs(self):
+        """Dofs off the Dirichlet boundary, as (u1, u2, p) per vertex in
+        ``elimination_order``, the order in which every sparse factor is taken."""
+        dofs = (self.elimination_order[:, None] + self.n_u * np.arange(3)).ravel()
+        return dofs[np.isin(dofs, self.dirichlet_dofs, invert=True)]
 
 
 def build_dofmap(mesh):

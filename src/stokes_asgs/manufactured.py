@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asgs_core
+from . import asgs_core, linalg
 from .asgs_core import (FieldState, StabilizationParams, TimeScheme,
                         count_steps)
 from .fem_space import (assemble_matrix, assemble_vector, build_dofmap,
@@ -108,7 +108,7 @@ class ManufacturedForcing:
 
     It declares itself separable, forcing(x, y, t) = exp(-t) forcing(x, y, 0),
     so the solver evaluates it once per mesh (``asgs_core._interval_forcing``),
-    where a plain callable is evaluated at an interval's levels on each use.
+    where a plain callable is evaluated at an interval's levels once per step.
     """
 
     mu: float
@@ -382,9 +382,17 @@ def run_verification_solve(nx, dt, theta, t_final, mu=0.1, c1=4.0, c2=2.0,
     t = 0 and the subscales start from zero.
     """
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=count_steps(t_final, dt))
+    _check_step_factors(nx)
     mesh = build_unit_square_mesh(nx)
     return _verification_solve(mesh, build_dofmap(mesh), scheme, mu, c1, c2,
                                stabilized)
+
+
+def _check_step_factors(*nxs):
+    """``solve_transient``'s budget check before any mesh exists: the step
+    factor on the nx-by-nx unit square has 3nx^2 - 2nx + 2 rows."""
+    for nx in nxs:
+        linalg.check_factor_budget(3 * nx * nx - 2 * nx + 2, 1)
 
 
 def _verification_solve(mesh, dofmap, scheme, mu, c1, c2, stabilized):
@@ -412,12 +420,16 @@ def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
     ``rate_table`` takes the rates against h, otherwise against dt.  A level
     reuses the previous level's mesh and dofmap when its nx is the same, so
     a time study builds them once and a space study lets each level's mesh
-    go.  Returns (RateTable, [LevelResult]).  A failing solve's
-    StepFailureError is re-raised with ``level`` set to (i, nx, dt).
+    go.  Returns (RateTable, [LevelResult]).  Fewer than 2 levels, or any
+    level's step factor over budget, is refused before level 0.  A failing
+    solve's StepFailureError is re-raised with ``level`` set to (i, nx, dt).
     """
+    nxs = [base_nx if time_study else base_nx * 2 ** i for i in range(levels)]
+    if levels < 2:
+        raise ValueError("need at least 2 levels to compute rates")
+    _check_step_factors(*nxs)
     results, mesh = [], None
-    for i in range(levels):
-        nx = base_nx if time_study else base_nx * 2 ** i
+    for i, nx in enumerate(nxs):
         dt = base_dt / 2 ** i
         scheme = TimeScheme(theta=theta, dt=dt, n_steps=count_steps(t_final, dt))
         if mesh is None or mesh.nx != nx:

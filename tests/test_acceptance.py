@@ -15,8 +15,9 @@ import pytest
 from stokes_asgs import build_dofmap, build_unit_square_mesh
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    StepFailureError, SubscaleState, TimeScheme,
-                                   assemble_lhs, assemble_rhs, coercivity_check,
-                                   solve_transient, update_subscales)
+                                   _interval_forcing, assemble_lhs, assemble_rhs,
+                                   coercivity_check, solve_transient,
+                                   update_subscales)
 from stokes_asgs.fem_space import interpolate, quadrature_rule
 from stokes_asgs.manufactured import (exact_pressure, exact_velocity,
                                       exact_velocity_gradient, forcing,
@@ -153,7 +154,8 @@ def test_criterion_4_assembly_oracle_equivalence():
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     fn = lambda x, y, t: forcing(x, y, t, 0.1)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
+    f_mid = _interval_forcing(fn, mesh, state.t, state.t + scheme.dt, scheme.alpha)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, f_mid)
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, fn)
     dev_a = np.abs(matrix.toarray() - A_ref).max()
     dev_b = np.abs(rhs - b_ref).max()
@@ -256,7 +258,8 @@ def test_criterion_10_subscale_recursion():
     params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
     zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                       np.zeros(mesh.n_vertices), 0.0)
-    frozen = lambda x, y, t: (1.3 + 0.0 * x, -0.7 + 0.0 * x)
+    frozen = _interval_forcing(lambda x, y, t: (1.3 + 0.0 * x, -0.7 + 0.0 * x),
+                               mesh, 0.0, scheme.dt, scheme.alpha)
 
     sub = SubscaleState.zeros(mesh)
     for _ in range(10):
@@ -271,7 +274,8 @@ def test_criterion_10_subscale_recursion():
     rng = np.random.default_rng(23)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     factor = (params.tau1 / (scheme.dt_eff + params.tau1))[:, None, None]
-    fzero = lambda x, y, t: (0.0 * x, 0.0 * x)
+    fzero = _interval_forcing(lambda x, y, t: (0.0 * x, 0.0 * x), mesh, 0.0,
+                              scheme.dt, scheme.alpha)
     nxt = update_subscales(mesh, zero, zero, sub, scheme, params, fzero)
     dev_decay = np.abs(nxt.uprime - factor * sub.uprime).max()
 

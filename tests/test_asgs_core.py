@@ -33,6 +33,12 @@ def _initial_state(mesh, t=0.0):
     return FieldState(u1, u2, np.zeros(mesh.n_vertices), t)
 
 
+def _f_mid(fn, mesh, state_n, scheme):
+    """The interval forcing that ``step`` hands both of its kernels."""
+    return asgs_core._interval_forcing(fn, mesh, state_n.t, state_n.t + scheme.dt,
+                                       scheme.alpha)
+
+
 def _random_state(mesh, seed=0, t=0.3):
     rng = np.random.default_rng(seed)
     n = mesh.n_vertices
@@ -128,7 +134,8 @@ def test_assembly_matches_dense_oracle(theta):
     rng = np.random.default_rng(8)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
+                       _f_mid(_forcing_fn(), mesh, state, scheme))
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
@@ -152,7 +159,8 @@ def _check_galerkin_against_oracle(theta):
     state = _random_state(mesh, seed=3)
     sub = SubscaleState.zeros(mesh)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
+                       _f_mid(_forcing_fn(), mesh, state, scheme))
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
@@ -172,7 +180,8 @@ def test_rhs_matches_dense_oracle(nx, theta, dt, mu, c1, c2, separable, seed):
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
     state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
     fn = ManufacturedForcing(mu) if separable else _forcing_fn(mu)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
+                       _f_mid(fn, mesh, state, scheme))
     _, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn(mu))
     assert np.abs(rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
@@ -452,6 +461,64 @@ def test_step_matches_dense_oracle(theta, forcing_fn):
     assert abs(dofmap.mean_vector @ new.p) <= 1e-12
 
 
+@pytest.mark.parametrize("theta,calls", [(1, 1), (0, 2)])
+def test_step_evaluates_a_plain_forcing_once_per_level(theta, calls):
+    # the interval forcing is formed once per step and handed to both the
+    # right-hand side and the subscale update: backward Euler reads f at
+    # t_n + dt only, Crank-Nicolson at both ends of the interval
+    mesh = build_unit_square_mesh(3)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    state, sub = _random_step_inputs(mesh, np.random.default_rng(5))
+    times, fn = [], _forcing_fn()
+    step(mesh, dofmap, state, sub, scheme, params,
+         lambda x, y, t: times.append(t) or fn(x, y, t))
+    assert sorted(times) == [state.t, state.t + scheme.dt][2 - calls:]
+
+
+def _reference_subscale(mesh, state_n, state_np1, sub_n, scheme, params, fn):
+    """A*(f_mid - du - grad p) + B*uprime^n at the degree-5 points, with
+    A = tau1p/alpha and B = (tau1p/dt_eff - (1 - alpha))/alpha: f_mid from
+    ``fn`` at both ends of the interval at the points placed from the
+    vertex coordinates, du interpolated there, and grad p solved per
+    element from E grad = the pressure rises along the two edges E leaving
+    the first vertex."""
+    rule = quadrature_rule(asgs_core.ASSEMBLY_QUAD_DEGREE)
+    tri, alpha, dt = mesh.triangles, scheme.alpha, scheme.dt
+    corners = mesh.vertices[tri]  # (m, 3, 2)
+    pts = np.einsum("qi,kid->kqd", rule.points, corners)
+    f_mid = sum(w * np.stack(fn(pts[..., 0], pts[..., 1], t), axis=-1)
+                for w, t in ((alpha, state_n.t + dt), (1 - alpha, state_n.t)))
+    du = np.stack([((new - old) / dt)[tri] @ rule.points.T for new, old in
+                   ((state_np1.u1, state_n.u1), (state_np1.u2, state_n.u2))], axis=-1)
+    edges = corners[:, 1:] - corners[:, :1]
+    rise = state_np1.p[tri[:, 1:]] - state_np1.p[tri[:, :1]]
+    grad_p = np.linalg.solve(edges, rise[..., None])[..., 0]  # (m, 2)
+    A = (params.tau1p / alpha)[:, None, None]
+    B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None, None]
+    return A * (f_mid - du - grad_p[:, None, :]) + B * sub_n.uprime
+
+
+@pytest.mark.parametrize("theta", [1, 0])
+def test_step_subscale_matches_pointwise_reference(theta):
+    # the subscale that step returns is the update driven by the interval
+    # forcing at both ends of the step's own interval, and update_subscales
+    # takes that forcing as values at the assembly points
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    state, sub = _random_step_inputs(mesh, np.random.default_rng(31 + theta))
+    fn = _forcing_fn()
+    new, got = step(mesh, dofmap, state, sub, scheme, params, fn)
+    want = _reference_subscale(mesh, state, new, sub, scheme, params, fn)
+    assert np.abs(got.uprime - want).max() <= 1e-13 * np.abs(want).max()
+    again = update_subscales(mesh, new, state, sub, scheme, params,
+                             _f_mid(fn, mesh, state, scheme))
+    assert again.uprime.tobytes() == got.uprime.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(nx=st.integers(2, 6), theta=st.sampled_from([0, 1]),
        dt=st.floats(1e-3, 1.0), mu=st.floats(1e-2, 1.0),
@@ -465,7 +532,8 @@ def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2,
     state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
     fn = _forcing_fn(mu)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params, fn)
+    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
+                       _f_mid(fn, mesh, state, scheme))
     dense = np.linalg.solve(matrix.toarray(), rhs)
     scale = max(1.0, np.abs(dense).max())
 
@@ -595,7 +663,7 @@ def _bmat_reference(mesh, dofmap, block):
     K = sp.bmat([K[0] + [None], K[1] + [None], K[2] + [mean], [None, None, mean.T, None]],
                 format="csr")
     rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-    on = dofmap.dirichlet_mask()[rows]
+    on = np.isin(rows, dofmap.dirichlet_dofs)
     keep = ~on | (K.indices == rows)
     indptr = np.searchsorted(np.flatnonzero(keep), K.indptr)
     return sp.csr_matrix((np.where(on, 1.0, K.data)[keep], K.indices[keep], indptr),
@@ -647,8 +715,9 @@ def test_subscales_zero_fixed_point():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                       np.zeros(mesh.n_vertices), 0.0)
+    f_mid = _f_mid(lambda x, y, t: (0.0 * x, 0.0 * x), mesh, zero, scheme)
     out = update_subscales(mesh, zero, zero, SubscaleState.zeros(mesh), scheme,
-                           params, lambda x, y, t: (0.0 * x, 0.0 * x))
+                           params, f_mid)
     assert np.abs(out.uprime).max() == 0.0
 
 
@@ -660,11 +729,11 @@ def test_subscale_frozen_residual_geometric_sum():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                       np.zeros(mesh.n_vertices), 0.0)
-    fn = lambda x, y, t: (1.3 + 0.0 * x, -0.7 + 0.0 * x)
+    f_mid = _f_mid(lambda x, y, t: (1.3 + 0.0 * x, -0.7 + 0.0 * x), mesh, zero, scheme)
 
     sub = SubscaleState.zeros(mesh)
     for _ in range(10):
-        sub = update_subscales(mesh, zero, zero, sub, scheme, params, fn)
+        sub = update_subscales(mesh, zero, zero, sub, scheme, params, f_mid)
 
     t1p = params.tau1p[:, None, None]
     q = (params.tau1p / scheme.dt_eff)[:, None, None]
@@ -683,11 +752,11 @@ def test_subscale_frozen_residual_trapezoidal_sum_cn():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                       np.zeros(mesh.n_vertices), 0.0)
-    fn = lambda x, y, t: (1.3 + 0.0 * x, -0.7 + 0.0 * x)
+    f_mid = _f_mid(lambda x, y, t: (1.3 + 0.0 * x, -0.7 + 0.0 * x), mesh, zero, scheme)
 
     sub = SubscaleState.zeros(mesh)
     for _ in range(10):
-        sub = update_subscales(mesh, zero, zero, sub, scheme, params, fn)
+        sub = update_subscales(mesh, zero, zero, sub, scheme, params, f_mid)
 
     t1p = params.tau1p[:, None, None]
     tau1 = params.tau1[:, None, None]
@@ -704,7 +773,7 @@ def test_subscale_decay_factor_exact():
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     zero = FieldState(np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices),
                       np.zeros(mesh.n_vertices), 0.0)
-    fzero = lambda x, y, t: (0.0 * x, 0.0 * x)
+    fzero = _f_mid(lambda x, y, t: (0.0 * x, 0.0 * x), mesh, zero, scheme)
     rng = np.random.default_rng(9)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     factor = (params.tau1 / (scheme.dt_eff + params.tau1))[:, None, None]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokes_asgs import (asgs_core, build_dofmap, build_unit_square_mesh,
-                         interpolate, manufactured)
+                         interpolate, linalg, manufactured)
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    TimeScheme, solve_transient)
 from stokes_asgs.fem_space import quadrature_rule
@@ -578,6 +578,40 @@ def test_time_study_builds_per_mesh_work_once(monkeypatch):
     assert [r.dt for r in results] == [0.5, 0.25, 0.125]
     for r in results:
         assert r == run_verification_solve(8, r.dt, 0, 1.0)
+
+
+def test_step_factor_rows_closed_form(monkeypatch):
+    # the rows the runners check before any mesh exists are the rows
+    # solve_transient checks on the dofmap: the free dofs, the complement
+    # of the Dirichlet set, less the pinned pressure
+    checked = []
+    monkeypatch.setattr(linalg, "check_factor_budget",
+                        lambda n_rows, copies: checked.append((n_rows, copies)))
+    manufactured._check_step_factors(*range(1, 41))
+    assert len(checked) == 40
+    for nx, got in zip(range(1, 41), checked):
+        dofmap = build_dofmap(build_unit_square_mesh(nx))
+        free = dofmap.free_dofs
+        assert got == (free.size - 1, 1)
+        assert np.array_equal(np.sort(free), np.setdiff1d(
+            np.arange(dofmap.multiplier_index), dofmap.dirichlet_dofs))
+
+
+def test_runners_refuse_an_over_budget_level_before_any_mesh(monkeypatch):
+    # a budget between the predicted step factors of nx=4 (42 rows, 11,724
+    # bytes) and nx=8 (178 rows, 95,508 bytes): a study whose second level
+    # is nx=8, and a solve at nx=8, are refused before a mesh is built
+    monkeypatch.setattr(linalg, "FACTOR_BUDGET_BYTES", 50_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(manufactured, "build_unit_square_mesh",
+                      lambda nx: pytest.fail(f"built the nx={nx} mesh"))
+        with pytest.raises(linalg.FactorBudgetError, match="factor of 178 rows"):
+            manufactured.run_convergence_study(4, 0.1, 2)
+        with pytest.raises(linalg.FactorBudgetError, match="factor of 178 rows"):
+            run_verification_solve(8, 0.1, 1, 0.1)
+        with pytest.raises(ValueError, match="at least 2 levels"):
+            manufactured.run_convergence_study(4, 0.1, 1)
+    assert run_verification_solve(4, 0.1, 1, 0.1).steps
 
 
 # ------------------------------------------------------------- rates
