@@ -34,7 +34,7 @@ vectors are summed onto the vertices by ``fem_space.assemble_system``,
 to the right-hand side, u_old enters through the step system's own
 bilinear form with its u_mid terms at weight alpha - 1, so its action is
 one product with the step system built at alpha - 1, once per solve; the
-load (d_k and f_mid, which ``step`` forms once) enters by P1 element moments.
+load d_k + f_mid, which ``step`` forms once, enters by P1 element moments.
 The assembled system replaces the Dirichlet velocity rows by identity rows
 and appends a single Lagrange multiplier row/column that pins the pressure
 mean to zero; this constrained matrix is the assembly contract.  The direct
@@ -292,18 +292,15 @@ def _gradient(values, g):
             for e in range(2)]
 
 
-def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, f_mid,
-                 old_action=None):
+def assemble_rhs(mesh, dofmap, state_n, params, load, old_action):
     """Right-hand side for the step starting from ``state_n``.
 
     The old level enters through ``old_action``, the step system at
-    alpha - 1 (``_step_system``), applied to [u1, u2, 0, 0] of ``state_n``;
-    it is built here when not given.  The load, the step's interval forcing
-    ``f_mid`` (2, m, nq) at the assembly points plus the subscale history
-    uprime^n/dt_eff, enters through its P1 element moments.
+    alpha - 1 (``_step_system``), applied to [u1, u2, 0, 0] of ``state_n``.
+    The ``load`` (2, m, nq) at the assembly points, the step's interval
+    forcing f_mid plus the subscale history uprime^n/dt_eff, enters through
+    its P1 element moments.
     """
-    if old_action is None:
-        old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
     a, g = mesh.areas, mesh.shape_gradients
     w_a, t1p_a = params.w_weights * a, params.tau1p * a
     rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
@@ -311,11 +308,9 @@ def assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, f_mid,
 
     parts, cont = [], 0.0
     for c in range(2):
-        load = subscale_n.uprime[..., c] / scheme.dt_eff
-        load += f_mid[c]
-        parts.append(assemble_vector(mesh, w_a[:, None] * (load @ moments)))
+        parts.append(assemble_vector(mesh, w_a[:, None] * (load[c] @ moments)))
         # continuity rows: tau1p (f + d, grad q)
-        cont = cont + g[:, :, c] * (t1p_a * (load @ rule.weights))[:, None]
+        cont = cont + g[:, :, c] * (t1p_a * (load[c] @ rule.weights))[:, None]
     rhs = old_action @ np.concatenate([state_n.u1, state_n.u2, np.zeros(dofmap.n_p + 1)])
     rhs += np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
     rhs[dofmap.dirichlet_dofs] = 0.0
@@ -333,7 +328,7 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, f_m
     A*R1 + B*uprime_old with A = tau1p/alpha and
     B = (tau1p/dt_eff - (1 - alpha))/alpha per element.  For backward Euler
     (alpha = 1) the two levels coincide.  ``f_mid`` is the step's interval
-    forcing, as in ``assemble_rhs``.
+    forcing, the load of ``assemble_rhs`` without the history.
     """
     tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
     # (3, nq), contiguous: a BLAS product with a transposed view is slower
@@ -420,14 +415,19 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
          old_action=None):
     """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
 
-    ``factor`` is the step matrix's ``ReducedFactor``, ``old_action`` the old
-    level's action of ``assemble_rhs``, each built when not given, the factor
-    first; f_mid, the interval forcing, is evaluated once for both kernels.
+    ``factor`` is the step matrix's ``ReducedFactor`` and ``old_action`` the
+    old level's action of ``assemble_rhs``: given together, or built here,
+    the factor first.  f_mid, the interval forcing, is evaluated once for
+    both kernels, and the load once for ``assemble_rhs``.
     """
     if factor is None:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+        old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
     f_mid = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, scheme.alpha)
-    rhs = assemble_rhs(mesh, dofmap, state_n, subscale_n, scheme, params, f_mid, old_action)
+    load = np.moveaxis(subscale_n.uprime, -1, 0) / scheme.dt_eff
+    load += f_mid
+    rhs = assemble_rhs(mesh, dofmap, state_n, params, load, old_action)
+    del load  # not held under the back-solve
     x = factor.solve(rhs)
 
     n_u, n_p = dofmap.n_u, dofmap.n_p

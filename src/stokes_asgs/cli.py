@@ -8,6 +8,7 @@ runs produce byte-identical CSV.
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -71,6 +72,10 @@ def _validate(cfg):
         count_steps(cfg.t_final, cfg.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out = cfg.out
+    if out is not None and (not out or "\0" in out or os.path.isdir(out)
+                            or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError(f"out must name a file in an existing directory, got {out!r}")
     return cfg
 
 
@@ -203,7 +208,7 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_study(cfg, args.levels, time_study=args.time_study)
-    except FactorBudgetError as exc:
+    except (FactorBudgetError, OSError) as exc:  # OSError: the CSV could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,19 @@ def _f_mid(fn, mesh, state_n, scheme):
                                        scheme.alpha)
 
 
+def _load(fn, mesh, state_n, sub_n, scheme):
+    """The load that ``step`` hands ``assemble_rhs``: the interval forcing
+    of ``fn`` plus uprime^n/dt_eff, (2, m, nq)."""
+    return _f_mid(fn, mesh, state_n, scheme) + np.moveaxis(sub_n.uprime, -1, 0) / scheme.dt_eff
+
+
+def _rhs(mesh, dofmap, state_n, sub_n, scheme, params, fn):
+    """``assemble_rhs`` handed the load and the step system at alpha - 1."""
+    old_action = asgs_core._step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+    return assemble_rhs(mesh, dofmap, state_n, params,
+                        _load(fn, mesh, state_n, sub_n, scheme), old_action)
+
+
 def _random_state(mesh, seed=0, t=0.3):
     rng = np.random.default_rng(seed)
     n = mesh.n_vertices
@@ -134,8 +147,7 @@ def test_assembly_matches_dense_oracle(theta):
     rng = np.random.default_rng(8)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
-                       _f_mid(_forcing_fn(), mesh, state, scheme))
+    rhs = _rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
@@ -159,8 +171,7 @@ def _check_galerkin_against_oracle(theta):
     state = _random_state(mesh, seed=3)
     sub = SubscaleState.zeros(mesh)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
-                       _f_mid(_forcing_fn(), mesh, state, scheme))
+    rhs = _rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
@@ -180,15 +191,15 @@ def test_rhs_matches_dense_oracle(nx, theta, dt, mu, c1, c2, separable, seed):
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
     state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
     fn = ManufacturedForcing(mu) if separable else _forcing_fn(mu)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
-                       _f_mid(fn, mesh, state, scheme))
+    rhs = _rhs(mesh, dofmap, state, sub, scheme, params, fn)
     _, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn(mu))
     assert np.abs(rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
 def test_solve_builds_the_old_level_action_once_after_the_factor(monkeypatch):
     # the step matrix, its factor, then the old level's action, once per
-    # solve: built under the factor it would add to the solve's peak memory
+    # solve and once per bare step: built under the factor it would add to
+    # the solve's peak memory
     calls = []
     system, factor_init = asgs_core.assemble_system, linalg.DirectFactor.__init__
     monkeypatch.setattr(asgs_core, "assemble_system",
@@ -201,6 +212,29 @@ def test_solve_builds_the_old_level_action_once_after_the_factor(monkeypatch):
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), _initial_state(mesh))
     assert calls == ["system", "factor", "system"]
+    calls.clear()
+    step(mesh, dofmap, _initial_state(mesh), SubscaleState.zeros(mesh), scheme, params,
+         _forcing_fn())
+    assert calls == ["system", "factor", "system"]
+
+
+def test_assemble_rhs_assembles_no_system(monkeypatch):
+    # the old level's action is handed in; the kernel only applies it
+    mesh = build_unit_square_mesh(3)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=0, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    state, sub = _random_step_inputs(mesh, np.random.default_rng(9))
+    old_action = asgs_core._step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+    load = _load(_forcing_fn(), mesh, state, sub, scheme)
+
+    def refuse(*args):
+        raise AssertionError("assemble_rhs assembled a system")
+
+    monkeypatch.setattr(asgs_core, "assemble_system", refuse)
+    rhs = assemble_rhs(mesh, dofmap, state, params, load, old_action)
+    _, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    assert np.abs(rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
 def test_stabilization_vanishes_for_huge_c1():
@@ -319,17 +353,25 @@ def test_temporal_self_convergence_backward_euler():
     assert 1.5 < d2 / d3 < 2.5
 
 
-def test_single_step_run_equals_step():
+@pytest.mark.parametrize("theta,forcing_fn", [
+    pytest.param(theta, fn, id=f"{theta}{suffix}")
+    for suffix, fn in (("", _forcing_fn()), ("-separable", ManufacturedForcing(MU)))
+    for theta in (1, 0)])
+def test_single_step_run_equals_step(theta, forcing_fn):
+    # a bare step builds its factor and the old level's action as the solve
+    # does, so the two agree bitwise
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
-    scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
+    scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    init = _initial_state(mesh)
-    final = solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), init)
-    direct, _ = step(mesh, dofmap, init, SubscaleState.zeros(mesh), scheme,
-                     params, _forcing_fn())
-    assert np.array_equal(final.u1, direct.u1)
-    assert np.array_equal(final.p, direct.p)
+    init, subscales = _initial_state(mesh), []
+    final = solve_transient(mesh, dofmap, scheme, params, forcing_fn, init,
+                            observer=lambda n, state, sub: subscales.append(sub))
+    direct, sub = step(mesh, dofmap, init, SubscaleState.zeros(mesh), scheme,
+                       params, forcing_fn)
+    for got, want in ((direct.u1, final.u1), (direct.u2, final.u2), (direct.p, final.p),
+                      (sub.uprime, subscales[-1].uprime)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_solve_transient_history_and_observer():
@@ -532,8 +574,7 @@ def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2,
     state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
     fn = _forcing_fn(mu)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = assemble_rhs(mesh, dofmap, state, sub, scheme, params,
-                       _f_mid(fn, mesh, state, scheme))
+    rhs = _rhs(mesh, dofmap, state, sub, scheme, params, fn)
     dense = np.linalg.solve(matrix.toarray(), rhs)
     scale = max(1.0, np.abs(dense).max())
 

@@ -139,6 +139,43 @@ def test_refused_factor_is_one_error_line(monkeypatch, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["study", "--levels", "2"]])
+@pytest.mark.parametrize("out", ["missing/out.csv", ".", "", "a\0b.csv"],
+                         ids=["missing-parent", "directory", "empty", "nul"])
+def test_unusable_out_is_refused_before_solving(monkeypatch, tmp_path, capsys, command, out):
+    # an output path that cannot be written is a config error: status 2 and
+    # one error line, before any level is solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(manufactured, "run_verification_solve", refuse)
+    monkeypatch.setattr(manufactured, "run_convergence_study", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command + ["--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"out = {out}\n")
+    with pytest.raises(ConfigError, match="out"):
+        parse_config(str(cfg_file))
+
+
+def test_failed_write_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # the write itself failing ends the run with status 1, not a traceback
+    out = tmp_path / "out.csv"
+
+    def deny(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(out))
+
+    monkeypatch.setattr(cli, "open", deny, raising=False)
+    status = run_cli(["solve", "--nx", "4", "--dt", "0.25", "--t-final", "0.25",
+                      "--out", str(out)])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Permission denied" in err[0]
+
+
 # ------------------------------------------------------------- config
 
 def test_parse_config_empty_file_gives_defaults(tmp_path):
