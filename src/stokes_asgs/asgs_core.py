@@ -260,9 +260,13 @@ def _forcing_at(forcing, pts, t):
 
 def _pointwise(forcing, mesh, t):
     """``forcing`` at time t at the assembly points, as contiguous
-    components (2, m, nq)."""
-    pts = mesh.quad_points(quadrature_rule(ASSEMBLY_QUAD_DEGREE))
-    return np.ascontiguousarray(np.moveaxis(_forcing_at(forcing, pts, t), -1, 0))
+    components (2, m, nq), called once per element block (``Mesh.blocks``)."""
+    rule = quadrature_rule(ASSEMBLY_QUAD_DEGREE)
+    out = np.empty((2, mesh.n_triangles, len(rule.weights)))
+    for block in mesh.blocks():
+        values = _forcing_at(forcing, mesh.quad_points(rule, block), t)  # (mb, nq, 2)
+        out[:, block] = np.moveaxis(values, -1, 0)
+    return out
 
 
 def _interval_forcing(forcing, mesh, t_old, t_new, alpha):
@@ -273,7 +277,8 @@ def _interval_forcing(forcing, mesh, t_old, t_new, alpha):
     and kept on ``Mesh.table`` under the forcing itself (so it must be
     hashable), without the points it was evaluated at, and an interval is
     one pass over it.  Any other forcing is evaluated pointwise at the
-    interval's levels on each call.
+    interval's levels on each call.  Either way ``_pointwise`` evaluates it
+    in element blocks, so its temporaries are sized by a block.
     """
     c = getattr(forcing, "time_factor", None)
     if c is not None:
@@ -417,9 +422,12 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
 
     ``factor`` is the step matrix's ``ReducedFactor`` and ``old_action`` the
     old level's action of ``assemble_rhs``: given together, or built here,
-    the factor first.  f_mid, the interval forcing, is evaluated once for
-    both kernels, and the load once for ``assemble_rhs``.
+    the factor first; ValueError when only one is given.  f_mid, the interval
+    forcing, is evaluated once for both kernels, and the load once for
+    ``assemble_rhs``.
     """
+    if (factor is None) != (old_action is None):
+        raise ValueError("factor and old_action are given together or not at all")
     if factor is None:
         factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
         old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)

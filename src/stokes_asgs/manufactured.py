@@ -33,8 +33,9 @@ so A = L^T L (``_BlockMatrix``), b = -L^T s and C = ||s||^2, all
 h^2-weighted.  The pressure is expanded about c p0, as f cancels against
 grad p_h, and du about 0, so a small residual keeps its digits however far
 the state is from the exact fields.  The observer integrates every b and C
-once per mesh at the degree-8 error points; a time level then costs a few
-sparse products on nodal vectors.
+once per mesh at the degree-8 error points, in element blocks of
+``mesh.ELEMENT_BLOCK`` so that its temporaries do not grow with the mesh; a
+time level then costs a few sparse products on nodal vectors.
 """
 
 import math
@@ -266,44 +267,49 @@ _Forms = namedtuple("_Forms", "velocity gradient pressure residual")
 def _error_forms(mesh, exact, forcing_fn):
     """Per-mesh forms of the velocity L2 and H1-seminorm errors, the
     pressure L2 error and the indicator's R1 part, from the t = 0 factors
-    of the separable ``exact`` fields and ``forcing_fn``."""
+    of the separable ``exact`` fields and ``forcing_fn``, evaluated one
+    ``Mesh.blocks`` block at a time: a block fills its rows of the element
+    vectors, summed onto the vertices after the loop, and adds to each C."""
     rule = quadrature_rule(ERROR_QUAD_DEGREE)
-    pts = mesh.quad_points(rule)
-    tri = mesh.triangles
+    tri, h2 = mesh.triangles, mesh.diameters ** 2
     _, g, mass, stiff, div = asgs_core._element_tables(mesh)
-    wa = (mesh.areas[:, None] * rule.weights)[..., None]  # (m, nq, 1)
 
     def factor(fn, where):  # fn(x, y, 0) at ``where`` (..., 2), stacked to (..., d)
         return asgs_core._forcing_at(fn, where, 0.0)
 
     exact_u, exact_gu, exact_p = exact
+    fields = (exact_u, lambda x, y, t: (exact_p(x, y, t),))
+    nodal, p0 = (factor(fn, mesh.vertices) for fn in fields)
+    # element vectors of the velocity, pressure and residual b, and grad_int
+    lam = [np.empty((mesh.n_triangles,) + shape) for shape in ((3, 2), (3, 1), (3, 2), (2, 2))]
+    C = [0.0] * 4
+    for k in mesh.blocks():
+        pts = mesh.quad_points(rule, k)
+        wa = (mesh.areas[k, None] * rule.weights)[..., None]  # (mb, nq, 1)
+        for i, (fn, v) in enumerate(zip(fields, (nodal, p0))):
+            rho = rule.points @ v[tri[k]] - factor(fn, pts)  # rho0, (mb, nq, d)
+            w_rho = wa * rho
+            lam[i][k] = rule.points.T @ w_rho
+            C[i] += float(np.einsum("kqd,kqd->", w_rho, rho))
+        # R1 = c s - L y with s = f0 - grad I_h p0, h^2-weighted
+        s = factor(forcing_fn, pts) - np.matmul(p0[tri[k]].transpose(0, 2, 1), g[k])
+        w_s = h2[k, None, None] * wa * s
+        lam[2][k] = rule.points.T @ w_s  # its sum over i integrates h^2 s
+        C[2] += float(np.einsum("kqd,kqd->", w_s, s))
+        # grad rho0[k, q, d, e] = d(rho0_d)/dx_e: constant grad I_h f0 minus grad f0
+        grad_rho = (np.matmul(nodal[tri[k]].transpose(0, 2, 1), g[k])[:, None]
+                    - factor(exact_gu, pts).reshape(pts.shape[:2] + (2, 2)))
+        lam[3][k] = np.einsum("kq,kqde->kde", wa[..., 0], grad_rho)  # (mb, d, e)
+        C[3] += float(np.einsum("kq,kqde,kqde->", wa[..., 0], grad_rho, grad_rho))
     M = assemble_matrix(mesh, mass)
-    l2 = []
-    for fn in (exact_u, lambda x, y, t: (exact_p(x, y, t),)):
-        nodal = factor(fn, mesh.vertices)
-        rho = rule.points @ nodal[tri] - factor(fn, pts)  # rho0, (m, nq, d)
-        w_rho = wa * rho
-        l2.append(_SquareForm(M, nodal, assemble_vector(mesh, rule.points.T @ w_rho),
-                              float(np.einsum("kqd,kqd->", w_rho, rho))))
-    nodal, p0 = l2[0].nodal, l2[1].nodal
-    # R1 = c s - L y with s = f0 - grad I_h p0, h^2-weighted
-    h2 = (mesh.diameters ** 2)[:, None, None]
-    s = factor(forcing_fn, pts) - np.matmul(p0[tri].transpose(0, 2, 1), g)  # (m, nq, 2)
-    w_s = h2 * wa * s
-    lam = rule.points.T @ w_s  # (m, 3, 2); its sum over i integrates h^2 s
-    b = np.hstack([assemble_vector(mesh, lam),
-                   assemble_vector(mesh, np.einsum("kic,kc->ki", g, lam.sum(axis=1)))[:, None]])
-    residual = _SquareForm(_BlockMatrix(*(assemble_matrix(mesh, h2 * t) for t in
+    l2 = [_SquareForm(M, v, assemble_vector(mesh, lam[i]), C[i]) for i, v in enumerate((nodal, p0))]
+    b = np.hstack([assemble_vector(mesh, lam[2]),
+                   assemble_vector(mesh, np.einsum("kic,kc->ki", g, lam[2].sum(axis=1)))[:, None]])
+    residual = _SquareForm(_BlockMatrix(*(assemble_matrix(mesh, h2[:, None, None] * t) for t in
                                           (mass, div[:, 0], div[:, 1], stiff))),
-                           np.hstack([np.zeros_like(nodal), p0]), -b,
-                           float(np.einsum("kqd,kqd->", w_s, s)))
-    # grad rho0[k, q, d, e] = d(rho0_d)/dx_e: constant grad I_h f0 minus grad f0
-    grad_rho = (np.matmul(nodal[tri].transpose(0, 2, 1), g)[:, None]
-                - factor(exact_gu, pts).reshape(pts.shape[:2] + (2, 2)))
-    grad_int = np.einsum("kq,kqde->kde", wa[..., 0], grad_rho)  # (m, d, e)
+                           np.hstack([np.zeros_like(nodal), p0]), -b, C[2])
     gradient = _SquareForm(assemble_matrix(mesh, stiff), nodal,
-                           assemble_vector(mesh, g @ grad_int.transpose(0, 2, 1)),
-                           float(np.einsum("kq,kqde,kqde->", wa[..., 0], grad_rho, grad_rho)))
+                           assemble_vector(mesh, g @ lam[3].transpose(0, 2, 1)), C[3])
     return _Forms(l2[0], gradient, l2[1], residual)
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+# elements per block of a whole-mesh evaluation at quadrature points
+ELEMENT_BLOCK = 2048
+
 
 class Mesh:
     """Triangulation of the unit square (0,1) x (0,1).
@@ -41,14 +44,19 @@ class Mesh:
             self._tables[key] = build(self)
         return self._tables[key]
 
-    def quad_points(self, rule):
-        """Physical coordinates of a quadrature rule on every element.
+    def blocks(self):
+        """Slices of ``ELEMENT_BLOCK`` consecutive elements, in order; slicing clips the last."""
+        return (slice(s, s + ELEMENT_BLOCK) for s in range(0, self.n_triangles, ELEMENT_BLOCK))
 
-        Returns an array of shape (n_triangles, n_points, 2), each coordinate
-        slice contiguous, computed on each call: its callers keep what they
-        derive from it per mesh, not the points.
+    def quad_points(self, rule, elements=slice(None)):
+        """Physical coordinates of a quadrature rule on the ``elements``.
+
+        Returns an array of shape (n_elements, n_points, 2), each coordinate
+        slice contiguous, computed on each call: its callers evaluate a
+        whole mesh one block (``blocks``) at a time and keep what they
+        derive per mesh, not the points.
         """
-        corners = self.vertices[self.triangles].transpose(2, 0, 1)  # (2, m, 3)
+        corners = self.vertices[self.triangles[elements]].transpose(2, 0, 1)  # (2, m, 3)
         return (corners @ rule.points.T).transpose(1, 2, 0)
 
 

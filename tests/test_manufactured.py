@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from stokes_asgs import (asgs_core, build_dofmap, build_unit_square_mesh,
                          interpolate, linalg, manufactured)
+from stokes_asgs import mesh as mesh_module
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    TimeScheme, solve_transient)
 from stokes_asgs.fem_space import quadrature_rule
@@ -578,6 +580,63 @@ def test_time_study_builds_per_mesh_work_once(monkeypatch):
     assert [r.dt for r in results] == [0.5, 0.25, 0.125]
     for r in results:
         assert r == run_verification_solve(8, r.dt, 0, 1.0)
+
+
+def test_element_blocks_give_unblocked_numbers(monkeypatch):
+    # nx=6 has 72 elements, so blocks of 7 end in a block of 2; everything
+    # but the C constants is bitwise that of one block.  A C adds up its
+    # 2,304 nonnegative terms block by block, a reordered sum: it moved by
+    # 8 to 14 ulp here; in blocks of 2048 it moved by at most 2 ulp against
+    # one pass at nx=40 and 100
+    fn = manufactured.ManufacturedForcing(MU)
+
+    def plain(x, y, t):  # not separable, with a scalar component
+        return np.sin(3 * x + t) * y, 0.5 - t
+
+    def build():
+        mesh = build_unit_square_mesh(6)
+        forms = manufactured._error_forms(mesh, DEFAULT_EXACT, fn)
+        values = [asgs_core._pointwise(f, mesh, 0.3) for f in (fn, plain)]
+        scheme = TimeScheme(theta=0, dt=0.1, n_steps=3)
+        params = StabilizationParams.for_mesh(mesh, MU, 4.0, 2.0, scheme.dt_eff)
+        initial = FieldState(*(interpolate(lambda x, y: exact_velocity(x, y, 0.0)[c], mesh)
+                               for c in range(2)), np.zeros(mesh.n_vertices), 0.0)
+        state = solve_transient(mesh, build_dofmap(mesh), scheme, params, plain, initial)
+        return mesh, forms, values, state
+
+    monkeypatch.setattr(mesh_module, "ELEMENT_BLOCK", 72)
+    whole = build()
+    monkeypatch.setattr(mesh_module, "ELEMENT_BLOCK", 7)
+    blocked = build()
+    assert [len(range(72)[k]) for k in blocked[0].blocks()] == [7] * 10 + [2]
+    for want, got in zip(whole[1], blocked[1]):
+        assert np.array_equal(want.nodal, got.nodal) and np.array_equal(want.b, got.b)
+        assert abs(got.C - want.C) <= 1e-14 * want.C
+    for want, got in zip(whole[2], blocked[2]):
+        assert got.flags.c_contiguous and np.array_equal(want, got)
+    for c in ("u1", "u2", "p", "t"):
+        assert np.array_equal(getattr(whole[3], c), getattr(blocked[3], c))
+
+
+def test_setup_temporaries_are_bounded_by_a_block():
+    # the forms and F0 evaluate the fields at the quadrature points block
+    # by block; at nx=64 one pass over the whole mesh peaked 23.0 MiB above
+    # the forms it returned and 6.6 MiB above what was live before F0
+    mesh = build_unit_square_mesh(64)
+    fn = manufactured.ManufacturedForcing(MU)
+    tracemalloc.start()
+    try:
+        forms = manufactured._error_forms(mesh, DEFAULT_EXACT, fn)
+        live, peak = tracemalloc.get_traced_memory()
+        del forms
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        asgs_core._pointwise(fn, mesh, 0.0)
+        f0_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live <= 10 * 2 ** 20
+    assert f0_peak - before <= 4 * 2 ** 20
 
 
 def test_step_factor_rows_closed_form(monkeypatch):
