@@ -486,9 +486,13 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
 
 # beta_h^2 is a ratio of the H1 velocity and L2 pressure Gram forms, at most
 # 2 for the Galerkin pair, so an inf-sup eigenvalue within this of 0 is a
-# zero mode: the constant, plus 7 spurious modes when unstabilized.
+# zero mode.  The eigensolve asks for the pencil's zero modes plus 2: the
+# Galerkin pair has 8, the constant and 7 spurious modes.  When every
+# tau1' > 0, C = tau1' * stiffness is definite on the zero-mean pressures of
+# the connected mesh and B^T vanishes on the constant, so the kernel of
+# B A^-1 B^T + C is the constant alone and 1 + 2 eigenvalues suffice.
 INFSUP_ZERO_TOL = 1e-10
-INFSUP_K = 10  # more than those 8 zero modes
+INFSUP_K = 10  # the Galerkin pair's 8 zero modes plus 2
 
 
 def _nearest_eigenvalues(K, M, sigma, k, n_negative):
@@ -548,8 +552,11 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     -lam of the pencil [[A, B^T], [B, -C]] x = lam diag(0, M_p) x on the
     ``dofmap.free_dofs``; shifted by sigma > 0 that is quasi-definite with n_p
     negative pivots (else LinAlgError), and its eigenvalues nearest sigma
-    are the zero modes, then -beta_h^2.  LinAlgError when all k found are
-    zero modes; ValueError, before assembling, when
+    are the zero modes, then -beta_h^2.  It asks for 3 of them when
+    every tau1' of the pressure block is positive, since the constant is
+    then the only zero mode, and for ``INFSUP_K`` otherwise (the Galerkin
+    pair, also ``stabilized`` with zero taus).  LinAlgError when all k
+    found are zero modes; ValueError, before assembling, when
     ``linalg.check_factor_budget`` refuses two copies of the pencil's factor
     (``_nearest_eigenvalues`` holds two), from nx=248 on the unit square.
     The Dirichlet identity rows and the multiplier border that
@@ -572,8 +579,8 @@ def infsup_constant(mesh, dofmap, stabilized, params):
     M = sp.block_diag([sp.csr_matrix((2 * dofmap.n_u,) * 2),
                        assemble_matrix(mesh, mass)], format="csr")
     # a shift below 0 would mix the zero cluster with -beta_h^2
-    eigs = _nearest_eigenvalues(K[dofs][:, dofs], M[dofs][:, dofs], 1e-6, INFSUP_K,
-                                dofmap.n_p)
+    k = 1 + 2 if np.all(t1p > 0.0) else INFSUP_K
+    eigs = _nearest_eigenvalues(K[dofs][:, dofs], M[dofs][:, dofs], 1e-6, k, dofmap.n_p)
     nonzero = eigs[eigs < -INFSUP_ZERO_TOL]
     if nonzero.size == 0:
         raise np.linalg.LinAlgError(f"all {eigs.size} eigenvalues found are zero modes")

@@ -1196,6 +1196,56 @@ def test_infsup_unstabilized_pencil_has_eight_zero_modes(monkeypatch):
     assert np.count_nonzero(np.abs(eigs) <= asgs_core.INFSUP_ZERO_TOL) == 8
 
 
+def _recorded_eigensolve(calls, k=None):
+    """``_nearest_eigenvalues`` that appends (k asked, eigenvalues) to
+    ``calls``, solving with ``k`` in place of the caller's when given."""
+    nearest = asgs_core._nearest_eigenvalues
+
+    def recorded(K, M, sigma, k_asked, n_negative):
+        calls.append((k_asked, nearest(K, M, sigma, k or k_asked, n_negative)))
+        return calls[-1][1]
+    return recorded
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 8), mu=st.floats(1e-2, 10.0), c1=st.floats(1.0, 16.0),
+       c2=st.floats(0.5, 4.0), log_dt=st.floats(-6.0, 0.0))
+def test_infsup_stabilized_pencil_asks_for_its_one_zero_mode_plus_two(nx, mu, c1, c2,
+                                                                      log_dt):
+    # every tau1' > 0 leaves only the constant pressure in the kernel, so
+    # fewer eigenvalues than the Galerkin pair's INFSUP_K give the same beta_h
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, mu, c1, c2, 10.0 ** log_dt)
+    calls = []
+    solvers = _recorded_eigensolve(calls), _recorded_eigensolve([], asgs_core.INFSUP_K)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asgs_core, "_nearest_eigenvalues", solvers[0])
+        beta = infsup_constant(mesh, dofmap, True, params)
+        patch.setattr(asgs_core, "_nearest_eigenvalues", solvers[1])
+        want = infsup_constant(mesh, dofmap, True, params)
+    ((k, eigs),) = calls
+    assert k < asgs_core.INFSUP_K
+    assert np.count_nonzero(np.abs(eigs) <= asgs_core.INFSUP_ZERO_TOL) == 1
+    assert beta == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nx", [2, 4, 8])
+def test_infsup_with_zero_taus_asks_for_the_galerkin_count(nx):
+    # the count follows the taus, not the flag: zero taus are the Galerkin pair
+    mesh = build_unit_square_mesh(nx)
+    dofmap = build_dofmap(mesh)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.05,
+                                          stabilized=False)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(asgs_core, "_nearest_eigenvalues", _recorded_eigensolve(calls))
+        got = infsup_constant(mesh, dofmap, True, params)
+        want = infsup_constant(mesh, dofmap, False, params)
+    assert [k for k, _ in calls] == [asgs_core.INFSUP_K] * 2
+    assert got.hex() == want.hex()
+
+
 def test_infsup_excludes_constant_pressure():
     # the reported value corresponds to a zero-mean mode, never the
     # constant-pressure direction (a zero mode, which the cutoff skips)
