@@ -416,21 +416,25 @@ class ReducedFactor:
             f"{linalg.DIRECT_RESIDUAL_TOL:.0e}")
 
 
-def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None,
-         old_action=None):
+def _step_operators(mesh, dofmap, scheme, params):
+    """(factor, old_action): the step matrix's ``ReducedFactor`` and the
+    old level's action of ``assemble_rhs``, the step system at alpha - 1.
+
+    The factor is built first, so that the action takes the memory the
+    factor's reduced matrix freed.
+    """
+    factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    return factor, _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+
+
+def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, operators=None):
     """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
 
-    ``factor`` is the step matrix's ``ReducedFactor`` and ``old_action`` the
-    old level's action of ``assemble_rhs``: given together, or built here,
-    the factor first; ValueError when only one is given.  f_mid, the interval
-    forcing, is evaluated once for both kernels, and the load once for
-    ``assemble_rhs``.
+    ``operators`` is the (factor, old_action) pair of ``_step_operators``,
+    built here when not given.  f_mid, the interval forcing, is evaluated
+    once for both kernels, and the load once for ``assemble_rhs``.
     """
-    if (factor is None) != (old_action is None):
-        raise ValueError("factor and old_action are given together or not at all")
-    if factor is None:
-        factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-        old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+    factor, old_action = operators or _step_operators(mesh, dofmap, scheme, params)
     f_mid = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, scheme.alpha)
     load = np.moveaxis(subscale_n.uprime, -1, 0) / scheme.dt_eff
     load += f_mid
@@ -453,30 +457,24 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
 
     The observer, if given, is called as observer(n, state, subscale) for
     n = 0 (initial data) through n_steps; it accumulates norms, or collects
-    the trajectory, along the loop.  Step failures are re-raised as
-    StepFailureError carrying the 1-based failing step index.  The step
-    factor and the old level's action of ``assemble_rhs`` are built once,
-    the action after the factor, so that it takes the memory the factor's
-    reduced matrix freed; the forcing is as in ``_interval_forcing``.  The
-    factor's budget is checked before the observer or any assembly runs.
+    the trajectory, along the loop.  Step failures, a singular factor
+    included, are re-raised as StepFailureError carrying the 1-based failing
+    step index.  The factor's budget is checked before the observer or any
+    assembly runs; ``_step_operators`` builds the operators once, in step 1,
+    after observer(0), so that the observer's set-up temporaries never add
+    to the resident factor.  The forcing is as in ``_interval_forcing``.
     """
     linalg.check_factor_budget(dofmap.free_dofs.size - 1, 1)  # a pinned pressure
     subscale = SubscaleState.zeros(mesh)
     state = initial
     if observer is not None:
-        # before the factor exists, so that the observer's set-up
-        # temporaries never add to the resident LU factor
         observer(0, state, subscale)
-    try:
-        factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-    except linalg.SingularMatrixError as exc:
-        # factorization is part of taking the first step
-        raise StepFailureError(1, str(exc)) from exc
-    old_action = _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+    operators = None
     for n in range(1, scheme.n_steps + 1):
         try:
+            operators = operators or _step_operators(mesh, dofmap, scheme, params)
             state, subscale = step(mesh, dofmap, state, subscale, scheme, params,
-                                   forcing, factor, old_action)
+                                   forcing, operators)
         except linalg.SingularMatrixError as exc:
             raise StepFailureError(n, str(exc)) from exc
         if observer is not None:

@@ -73,9 +73,9 @@ def build_unit_square_mesh(nx):
     Mesh
         (nx+1)^2 vertices and 2*nx^2 triangles.
     """
-    nx = int(nx)
-    if nx < 1:
+    if nx != int(nx) or nx < 1:
         raise ValueError(f"nx must be a positive integer, got {nx}")
+    nx = int(nx)
 
     side = np.linspace(0.0, 1.0, nx + 1)
     xv, yv = np.meshgrid(side, side, indexing="xy")

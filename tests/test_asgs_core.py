@@ -218,23 +218,6 @@ def test_solve_builds_the_old_level_action_once_after_the_factor(monkeypatch):
     assert calls == ["system", "factor", "system"]
 
 
-def test_step_refuses_a_lone_factor(monkeypatch):
-    # the factor and the old level's action come as a pair or not at all;
-    # one alone is refused before the forcing is evaluated
-    mesh = build_unit_square_mesh(3)
-    dofmap = build_dofmap(mesh)
-    scheme = TimeScheme(theta=0, dt=0.1, n_steps=1)
-    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-    old_action = asgs_core._step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
-    monkeypatch.setattr(asgs_core, "_interval_forcing",
-                        lambda *args: pytest.fail("the forcing was evaluated"))
-    for pair in ((factor, None), (None, old_action)):
-        with pytest.raises(ValueError, match="together or not at all"):
-            step(mesh, dofmap, _initial_state(mesh), SubscaleState.zeros(mesh), scheme,
-                 params, _forcing_fn(), *pair)
-
-
 def test_assemble_rhs_assembles_no_system(monkeypatch):
     # the old level's action is handed in; the kernel only applies it
     mesh = build_unit_square_mesh(3)
@@ -422,6 +405,16 @@ def test_step_failure_carries_index():
         solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
                         _initial_state(mesh))
     assert info.value.step == 1
+
+
+def test_step_failure_at_a_later_step_carries_its_index(third_solve_fails):
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=1, dt=0.1, n_steps=4)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
+    with pytest.raises(StepFailureError) as info:
+        solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), _initial_state(mesh))
+    assert info.value.step == 3
 
 
 def test_step_factor_refused_over_budget(monkeypatch):

@@ -124,6 +124,20 @@ def test_study_labels_failing_level(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, prefix", [
+    (["solve"], "error: solve failed at step 3: "),
+    (["study", "--levels", "2"], "error: level 0 (nx=4, dt=0.1) failed at step 3: ")],
+    ids=["solve", "study"])
+def test_later_step_failure_is_one_error_line(third_solve_fails, tmp_path, capsys,
+                                              command, prefix):
+    out = tmp_path / "out.csv"
+    status = run_cli(command + ["--nx", "4", "--dt", "0.1", "--t-final", "0.4",
+                                "--out", str(out)])
+    assert status == 1
+    assert capsys.readouterr().err.splitlines() == [prefix + "singular step system"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["solve"], ["study", "--levels", "2"]])
 def test_refused_factor_is_one_error_line(monkeypatch, tmp_path, capsys, command):
     # a factor over the budget ends the run like a failed step: status 1 and

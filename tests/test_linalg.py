@@ -230,10 +230,9 @@ def test_step_factor_holds_no_copy_of_its_factor(monkeypatch):
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
-    factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-    assert isinstance(factor.factor.lu, _FactorWithoutCopies)
-    old_action = asgs_core._step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
+    operators = asgs_core._step_operators(mesh, dofmap, scheme, params)
+    assert isinstance(operators[0].factor.lu, _FactorWithoutCopies)
     z = np.zeros(mesh.n_vertices)
     state, _ = step(mesh, dofmap, FieldState(z, z, z, 0.0), SubscaleState.zeros(mesh),
-                    scheme, params, ManufacturedForcing(0.1), factor, old_action)
+                    scheme, params, ManufacturedForcing(0.1), operators)
     assert state.t == 0.1 and np.abs(state.u1).max() > 0.0

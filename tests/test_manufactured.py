@@ -673,6 +673,16 @@ def test_runners_refuse_an_over_budget_level_before_any_mesh(monkeypatch):
     assert run_verification_solve(4, 0.1, 1, 0.1).steps
 
 
+def test_runners_refuse_a_non_integral_nx_before_any_level_solves(monkeypatch):
+    # nx=2.5 is not truncated to 2, which would rate nx 2 and 5 as a doubling
+    monkeypatch.setattr(manufactured, "_verification_solve",
+                        lambda *args: pytest.fail("a level was solved"))
+    with pytest.raises(ValueError, match="positive integer, got 2.5"):
+        manufactured.run_convergence_study(2.5, 0.1, 2, t_final=0.2)
+    with pytest.raises(ValueError, match="positive integer, got 4.7"):
+        run_verification_solve(4.7, 0.1, 1, 0.2)
+
+
 # ------------------------------------------------------------- rates
 
 class _Lv:

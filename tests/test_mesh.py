@@ -41,8 +41,16 @@ def test_boundary_characterisation():
 
 
 def test_rejects_nx_zero():
-    with pytest.raises(ValueError):
-        build_unit_square_mesh(0)
+    # a non-integral nx is refused, not truncated
+    for nx in (0, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            build_unit_square_mesh(nx)
+
+
+def test_accepts_integral_nx_of_any_type():
+    for nx in (3, 3.0, np.int64(3)):
+        mesh = build_unit_square_mesh(nx)
+        assert type(mesh.nx) is int and mesh.nx == 3 and mesh.n_triangles == 18
 
 
 _UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
