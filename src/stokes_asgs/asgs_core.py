@@ -1,21 +1,20 @@
 """Assembly and time stepping for the subgrid-scale stabilized Stokes system.
 
-The discrete problem advances nodal velocities to integer time levels and
-solves for the interval pressure.  With alpha = (1+theta)/2 and the
-effective step dt_eff = alpha*dt, the unknowns per step are u_new = u^{n+1}
-and the interval pressure p; writing u_mid = alpha*u_new + (1-alpha)*u_old,
-the assembled weak form is, for all discrete test pairs (v, q):
+With alpha = (1+theta)/2 and dt_eff = alpha*dt, a step solves for the
+interval velocity u_mid = alpha*u_new + (1-alpha)*u_old and the interval
+pressure p.  As (u_new - u_old)/dt = (u_mid - u_old)/dt_eff, the assembled
+weak form is a backward-Euler step of size dt_eff, for all test pairs (v, q):
 
 momentum:
-    ((u_new - u_old)/dt, v) + mu*(grad u_mid, grad v) - (p, div v)
+    ((u_mid - u_old)/dt_eff, v) + mu*(grad u_mid, grad v) - (p, div v)
     + sum_k tau2_k (div u_mid, div v)_k
-    - sum_k m_k ((u_new - u_old)/dt + grad p, v)_k
+    - sum_k m_k ((u_mid - u_old)/dt_eff + grad p, v)_k
     - sum_k w_k (d_k, v)_k
     = (f_mid, v) - sum_k m_k (f_mid, v)_k
 
 continuity:
     (div u_mid, q)
-    + sum_k tau1p_k ((u_new - u_old)/dt + grad p, grad q)_k
+    + sum_k tau1p_k ((u_mid - u_old)/dt_eff + grad p, grad q)_k
     - sum_k tau1p_k (d_k, grad q)_k
     = sum_k tau1p_k (f_mid, grad q)_k
 
@@ -24,23 +23,20 @@ w_k = 1 - m_k = tau1p_k/tau1_k, and the subscale history
 d_k = uprime^n/dt_eff evaluated at the assembly quadrature points.  These
 weights come from eliminating the interval subscale uprime^{n+alpha},
 which solves (uprime^{n+alpha} - uprime^n)/dt_eff + uprime^{n+alpha}/tau1
-= R^{n+alpha}; the history carried to the next step is the end-level
-uprime^{n+1} = (uprime^{n+alpha} - (1-alpha)*uprime^n)/alpha, the
-trapezoidal rule for d(uprime)/dt + uprime/tau1 = R when alpha = 1/2.
-Second derivatives of P1 fields vanish elementwise, so no Laplacian terms
-appear in the residuals or their adjoints.  The element matrices and
-vectors are summed onto the vertices by ``fem_space.assemble_system``,
-``fem_space.assemble_matrix`` and ``fem_space.assemble_vector``.  Moved
-to the right-hand side, u_old enters through the step system's own
-bilinear form with its u_mid terms at weight alpha - 1, so its action is
-one product with the step system built at alpha - 1, once per solve; the
-load d_k + f_mid, which ``step`` forms once, enters by P1 element moments.
-The assembled system replaces the Dirichlet velocity rows by identity rows
-and appends a single Lagrange multiplier row/column that pins the pressure
-mean to zero; this constrained matrix is the assembly contract.  The direct
-solver factorizes only the reduced interior system (no Dirichlet rows, no
-multiplier, one pressure dof pinned) and recovers the multiplier exactly
-(see ``ReducedFactor``).
+= R^{n+alpha}.  Velocity and subscale go on to the end level alike,
+u_new = (u_mid - (1-alpha)*u_old)/alpha: the trapezoidal rule when
+alpha = 1/2.  P1 fields have no element Laplacian, so none appears in the
+residuals or their adjoints.  Moved to the right, u_old/dt_eff joins
+d_k + f_mid in one load, which the momentum rows read weighted w_k and the
+continuity rows tau1p_k: the right-hand side is the load's P1 element
+moments.  ``fem_space.assemble_system``, ``assemble_matrix`` and
+``assemble_vector`` sum the element terms onto the vertices.  The
+Dirichlet velocity rows are identity rows, with (1-alpha)*u_old on the
+right so that u_new = 0 on the boundary, and a single Lagrange multiplier
+row/column pins the pressure mean to zero; this constrained matrix is the
+assembly contract.  The direct solver factorizes only the reduced interior
+system (no Dirichlet rows, no multiplier, one pressure dof pinned) and
+recovers the multiplier exactly (see ``ReducedFactor``).
 """
 
 import math
@@ -213,43 +209,33 @@ def _grad_div(a, g, weight, c, cp):
     return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
 
 
-def _step_system(mesh, dofmap, scheme, params, alpha):
-    """The constrained step system of ``assemble_system`` with its u_mid
-    terms (viscosity, grad-div and the continuity divergence) weighted
-    ``alpha``: at the scheme's alpha it acts on the new level
-    (``assemble_lhs``), at alpha - 1 on the old one (``assemble_rhs``)."""
+def assemble_lhs(mesh, dofmap, scheme, params):
+    """System matrix of a step's interval unknowns (u_mid, p), a backward-Euler
+    step of size dt_eff whatever the scheme: the scipy CSR that
+    ``assemble_system`` writes block by block, with identity Dirichlet rows,
+    the mean-pressure multiplier row/column appended and the raw operator on
+    the free dofs.  ValueError when ``params`` were built for another dt_eff.
+    """
+    dt_eff = scheme.dt_eff
+    if abs(params.dt_eff - dt_eff) > 1e-12 * dt_eff:
+        raise ValueError(f"params.dt_eff {params.dt_eff} differs from the "
+                         f"scheme's dt_eff {dt_eff}")
     a, g, mass, stiff, div = _element_tables(mesh)
-    dt = scheme.dt
     m_w, t1p = params.m_weights, params.tau1p
     # time derivative + viscosity on each velocity component
-    diag_block = (params.w_weights / dt)[:, None, None] * mass + (params.mu * alpha) * stiff
+    diag_block = (params.w_weights / dt_eff)[:, None, None] * mass + params.mu * stiff
 
     def block(r, c):
         if r < 2 and c < 2:  # velocity-velocity, with grad-div across components
-            return _grad_div(a, g, alpha * params.tau2, r, c) + (diag_block if r == c else 0.0)
+            return _grad_div(a, g, params.tau2, r, c) + (diag_block if r == c else 0.0)
         if r < 2:  # momentum-pressure: Galerkin -(p, div v) and subscale -m*(grad p, v)
             return (-div[:, r].transpose(0, 2, 1)
                     - (m_w * a / 3.0)[:, None, None] * g[:, None, :, r])
-        if c < 2:  # continuity-velocity: (div u_mid, q) and tau1p*(u/dt, grad q)
-            return alpha * div[:, c] + (t1p * a / (3.0 * dt))[:, None, None] * g[:, :, c, None]
+        if c < 2:  # continuity-velocity: (div u, q) and tau1p*(u/dt_eff, grad q)
+            return div[:, c] + (t1p * a / (3.0 * dt_eff))[:, None, None] * g[:, :, c, None]
         return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
 
     return assemble_system(mesh, dofmap, block)
-
-
-def assemble_lhs(mesh, dofmap, scheme, params):
-    """System matrix for one step, the scipy CSR of ``assemble_system``: the
-    Dirichlet velocity rows are identity rows and the mean-pressure
-    multiplier row/column is appended; on the free velocity and pressure
-    dofs it holds the raw operator.  ``fem_space.assemble_system`` writes the
-    nine blocks' element sums straight into the matrix, one block at a time.
-    ValueError when ``params`` were built for another dt_eff than the
-    scheme's.
-    """
-    if abs(params.dt_eff - scheme.dt_eff) > 1e-12 * scheme.dt_eff:
-        raise ValueError(f"params.dt_eff {params.dt_eff} differs from the "
-                         f"scheme's dt_eff {scheme.dt_eff}")
-    return _step_system(mesh, dofmap, scheme, params, scheme.alpha)
 
 
 def _forcing_at(forcing, pts, t):
@@ -297,14 +283,18 @@ def _gradient(values, g):
             for e in range(2)]
 
 
-def assemble_rhs(mesh, dofmap, state_n, params, load, old_action):
-    """Right-hand side for the step starting from ``state_n``.
+def _at_points(u, tri):
+    """The nodal P1 field ``u`` at the assembly points, (m, nq): a 1-D
+    gather times the contiguous (3, nq) table, faster than a 2-D gather or
+    a transposed view."""
+    return u[tri] @ np.ascontiguousarray(quadrature_rule(ASSEMBLY_QUAD_DEGREE).points.T)
 
-    The old level enters through ``old_action``, the step system at
-    alpha - 1 (``_step_system``), applied to [u1, u2, 0, 0] of ``state_n``.
-    The ``load`` (2, m, nq) at the assembly points, the step's interval
-    forcing f_mid plus the subscale history uprime^n/dt_eff, enters through
-    its P1 element moments.
+
+def assemble_rhs(mesh, dofmap, params, load):
+    """Right-hand side of a step: the P1 element moments of the ``load``
+    (2, m, nq) that ``step`` forms at the assembly points, (u_old +
+    uprime^n)/dt_eff + f_mid, weighted w_k in the momentum rows and tau1p_k
+    in the continuity rows.  The Dirichlet rows and the multiplier row hold 0.
     """
     a, g = mesh.areas, mesh.shape_gradients
     w_a, t1p_a = params.w_weights * a, params.tau1p * a
@@ -314,10 +304,9 @@ def assemble_rhs(mesh, dofmap, state_n, params, load, old_action):
     parts, cont = [], 0.0
     for c in range(2):
         parts.append(assemble_vector(mesh, w_a[:, None] * (load[c] @ moments)))
-        # continuity rows: tau1p (f + d, grad q)
+        # continuity rows: tau1p (load, grad q)
         cont = cont + g[:, :, c] * (t1p_a * (load[c] @ rule.weights))[:, None]
-    rhs = old_action @ np.concatenate([state_n.u1, state_n.u2, np.zeros(dofmap.n_p + 1)])
-    rhs += np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
+    rhs = np.concatenate(parts + [assemble_vector(mesh, cont), [0.0]])  # multiplier row 0
     rhs[dofmap.dirichlet_dofs] = 0.0
     return rhs
 
@@ -331,20 +320,17 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, f_m
     Laplacian), and returns the end-level history
     uprime_new = (uprime_mid - (1 - alpha)*uprime_old)/alpha, that is
     A*R1 + B*uprime_old with A = tau1p/alpha and
-    B = (tau1p/dt_eff - (1 - alpha))/alpha per element.  For backward Euler
-    (alpha = 1) the two levels coincide.  ``f_mid`` is the step's interval
-    forcing, the load of ``assemble_rhs`` without the history.
+    B = (tau1p/dt_eff - (1 - alpha))/alpha per element, f_mid the interval
+    forcing.  For backward Euler (alpha = 1) the two levels coincide.
     """
     tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
-    # (3, nq), contiguous: a BLAS product with a transposed view is slower
-    to_points = np.ascontiguousarray(quadrature_rule(ASSEMBLY_QUAD_DEGREE).points.T)
     grad_p = _gradient(state_new.p[tri], mesh.shape_gradients)
     A = (params.tau1p / alpha)[:, None]
     B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None]
     uprime = np.empty(f_mid.shape)
     for c, (new, old) in enumerate(((state_new.u1, state_old.u1),
                                     (state_new.u2, state_old.u2))):
-        resid = ((new - old) / dt)[tri] @ to_points
+        resid = _at_points((new - old) / dt, tri)
         np.subtract(f_mid[c], resid, out=resid)
         resid -= grad_p[c][:, None]
         resid *= A
@@ -416,34 +402,31 @@ class ReducedFactor:
             f"{linalg.DIRECT_RESIDUAL_TOL:.0e}")
 
 
-def _step_operators(mesh, dofmap, scheme, params):
-    """(factor, old_action): the step matrix's ``ReducedFactor`` and the
-    old level's action of ``assemble_rhs``, the step system at alpha - 1.
-
-    The factor is built first, so that the action takes the memory the
-    factor's reduced matrix freed.
-    """
-    factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
-    return factor, _step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
-
-
-def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, operators=None):
+def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None):
     """Advance one time step; returns (state_{n+1}, subscale_{n+1}).
 
-    ``operators`` is the (factor, old_action) pair of ``_step_operators``,
-    built here when not given.  f_mid, the interval forcing, is evaluated
-    once for both kernels, and the load once for ``assemble_rhs``.
+    ``factor`` is the ``ReducedFactor`` of ``assemble_lhs``, built here when
+    not given.  f_mid, the interval forcing, is evaluated once for both
+    kernels, and the load once for ``assemble_rhs``.  The solve gives the
+    interval velocity u_mid, with (1-alpha)*u_old on the Dirichlet rows, and
+    u_new = (u_mid - (1-alpha)*u_old)/alpha, as for the subscale.
     """
-    factor, old_action = operators or _step_operators(mesh, dofmap, scheme, params)
-    f_mid = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, scheme.alpha)
-    load = np.moveaxis(subscale_n.uprime, -1, 0) / scheme.dt_eff
+    factor = factor or ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    alpha = scheme.alpha
+    f_mid = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, alpha)
+    load = np.stack([_at_points(u, mesh.triangles) for u in (state_n.u1, state_n.u2)])
+    load += np.moveaxis(subscale_n.uprime, -1, 0)
+    load /= scheme.dt_eff
     load += f_mid
-    rhs = assemble_rhs(mesh, dofmap, state_n, params, load, old_action)
+    rhs = assemble_rhs(mesh, dofmap, params, load)
     del load  # not held under the back-solve
+    carried = (1 - alpha) * np.concatenate([state_n.u1, state_n.u2])  # u_old in u_mid
+    rhs[dofmap.dirichlet_dofs] = carried[dofmap.dirichlet_dofs]
     x = factor.solve(rhs)
 
     n_u, n_p = dofmap.n_u, dofmap.n_p
-    state_new = FieldState(u1=x[:n_u], u2=x[n_u:2 * n_u],
+    u_new = (x[:2 * n_u] - carried) / alpha
+    state_new = FieldState(u1=u_new[:n_u], u2=u_new[n_u:],
                            p=x[2 * n_u:2 * n_u + n_p], t=state_n.t + scheme.dt)
     subscale_new = update_subscales(mesh, state_new, state_n, subscale_n,
                                     scheme, params, f_mid)
@@ -460,21 +443,22 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     the trajectory, along the loop.  Step failures, a singular factor
     included, are re-raised as StepFailureError carrying the 1-based failing
     step index.  The factor's budget is checked before the observer or any
-    assembly runs; ``_step_operators`` builds the operators once, in step 1,
-    after observer(0), so that the observer's set-up temporaries never add
-    to the resident factor.  The forcing is as in ``_interval_forcing``.
+    assembly runs.  The step matrix is assembled and factored once, in step
+    1, after observer(0), so that the observer's set-up temporaries never
+    add to the resident factor.  The forcing is as in ``_interval_forcing``.
     """
     linalg.check_factor_budget(dofmap.free_dofs.size - 1, 1)  # a pinned pressure
     subscale = SubscaleState.zeros(mesh)
     state = initial
     if observer is not None:
         observer(0, state, subscale)
-    operators = None
+    factor = None
     for n in range(1, scheme.n_steps + 1):
         try:
-            operators = operators or _step_operators(mesh, dofmap, scheme, params)
+            factor = factor or ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params),
+                                             dofmap)
             state, subscale = step(mesh, dofmap, state, subscale, scheme, params,
-                                   forcing, operators)
+                                   forcing, factor)
         except linalg.SingularMatrixError as exc:
             raise StepFailureError(n, str(exc)) from exc
         if observer is not None:

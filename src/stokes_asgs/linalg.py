@@ -23,6 +23,8 @@ factor, held once, and from nx=248 on for the diagnostics' pencils, whose
 inertia read builds and keeps a second copy.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -68,8 +70,20 @@ def predicted_fill(n_rows):
     """0.8 N log2(N)^2, an upper estimate of nnz(L+U) for a P1 system of N
     rows in nested-dissection order: the step factor fills 0.547M / 1.70M /
     5.00M / 15.0M (1.03-1.07x below it) for N = 4,722 / 12,162 / 29,802 /
-    76,482 at nx 40/64/100/160."""
-    return int(np.ceil(0.8 * n_rows * np.log2(max(n_rows, 1)) ** 2))
+    76,482 at nx 40/64/100/160.  Rounded up in exact integers, so an
+    integer N of any size has one."""
+    n = max(int(n_rows), 1)
+    num, den = (math.log2(n) ** 2).as_integer_ratio()
+    return -(-4 * n * num // (5 * den))
+
+
+def _decimal(n):
+    """The integer ``n`` in decimal, or as a power of ten past the digits
+    that Python converts."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{math.log10(n):.0f}"
 
 
 def check_factor_budget(n_rows, copies):
@@ -78,9 +92,9 @@ def check_factor_budget(n_rows, copies):
     only solved with, 2 when SuperLU's ``L`` or ``U`` is read as well."""
     need = copies * FACTOR_ENTRY_BYTES * predicted_fill(n_rows)
     if need > FACTOR_BUDGET_BYTES:
-        raise FactorBudgetError(f"the factor of {n_rows} rows is predicted to need "
-                         f"{need} bytes, above the budget of "
-                         f"{FACTOR_BUDGET_BYTES} bytes")
+        raise FactorBudgetError(f"the factor of {_decimal(n_rows)} rows is predicted to "
+                                f"need {_decimal(need)} bytes, above the budget of "
+                                f"{FACTOR_BUDGET_BYTES} bytes")
 
 
 class DirectFactor:

@@ -40,16 +40,31 @@ def _f_mid(fn, mesh, state_n, scheme):
 
 
 def _load(fn, mesh, state_n, sub_n, scheme):
-    """The load that ``step`` hands ``assemble_rhs``: the interval forcing
-    of ``fn`` plus uprime^n/dt_eff, (2, m, nq)."""
-    return _f_mid(fn, mesh, state_n, scheme) + np.moveaxis(sub_n.uprime, -1, 0) / scheme.dt_eff
+    """The load that ``step`` hands ``assemble_rhs``: (u_old + uprime^n)/dt_eff
+    at the assembly points plus the interval forcing of ``fn``, (2, m, nq)."""
+    points = quadrature_rule(asgs_core.ASSEMBLY_QUAD_DEGREE).points
+    u_old = np.stack([u[mesh.triangles] @ points.T for u in (state_n.u1, state_n.u2)])
+    return ((u_old + np.moveaxis(sub_n.uprime, -1, 0)) / scheme.dt_eff
+            + _f_mid(fn, mesh, state_n, scheme))
 
 
 def _rhs(mesh, dofmap, state_n, sub_n, scheme, params, fn):
-    """``assemble_rhs`` handed the load and the step system at alpha - 1."""
-    old_action = asgs_core._step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
-    return assemble_rhs(mesh, dofmap, state_n, params,
-                        _load(fn, mesh, state_n, sub_n, scheme), old_action)
+    """``assemble_rhs`` handed the load."""
+    return assemble_rhs(mesh, dofmap, params, _load(fn, mesh, state_n, sub_n, scheme))
+
+
+def _interval_oracle(mesh, dofmap, state_n, sub_n, scheme, params, fn):
+    """``dense_assemble`` of a step's interval system: backward Euler at
+    dt_eff, with ``fn`` held in t at its interval value
+    alpha*fn(t_n + dt) + (1 - alpha)*fn(t_n)."""
+    alpha, t = scheme.alpha, state_n.t
+
+    def f_mid(x, y, _):
+        return tuple(alpha * new + (1 - alpha) * old
+                     for new, old in zip(fn(x, y, t + scheme.dt), fn(x, y, t)))
+
+    euler = TimeScheme(theta=1, dt=scheme.dt_eff, n_steps=1)
+    return dense_assemble(mesh, dofmap, state_n, sub_n, euler, params, f_mid)
 
 
 def _random_state(mesh, seed=0, t=0.3):
@@ -148,7 +163,7 @@ def test_assembly_matches_dense_oracle(theta):
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rhs = _rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
-    A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    A_ref, b_ref = _interval_oracle(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
 
@@ -158,7 +173,7 @@ def test_galerkin_switch_matches_oracle():
 
 
 def test_galerkin_switch_matches_oracle_crank_nicolson():
-    # at theta = 0 the old level's action carries the -1/2 viscous weight
+    # at theta = 0 the interval system is backward Euler at dt/2
     _check_galerkin_against_oracle(theta=0)
 
 
@@ -172,7 +187,7 @@ def _check_galerkin_against_oracle(theta):
     sub = SubscaleState.zeros(mesh)
     matrix = assemble_lhs(mesh, dofmap, scheme, params)
     rhs = _rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
-    A_ref, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    A_ref, b_ref = _interval_oracle(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
     assert np.abs(rhs - b_ref).max() < 1e-12
 
@@ -183,8 +198,7 @@ def _check_galerkin_against_oracle(theta):
        c1=st.floats(1.0, 20.0), c2=st.floats(0.1, 5.0),
        separable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_rhs_matches_dense_oracle(nx, theta, dt, mu, c1, c2, separable, seed):
-    # the old level's action as the step system at alpha - 1, plus the
-    # load's moments, against the oracle's element loops
+    # the load's moments against the oracle's element loops
     mesh = build_unit_square_mesh(nx)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
@@ -192,14 +206,13 @@ def test_rhs_matches_dense_oracle(nx, theta, dt, mu, c1, c2, separable, seed):
     state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
     fn = ManufacturedForcing(mu) if separable else _forcing_fn(mu)
     rhs = _rhs(mesh, dofmap, state, sub, scheme, params, fn)
-    _, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn(mu))
+    _, b_ref = _interval_oracle(mesh, dofmap, state, sub, scheme, params, _forcing_fn(mu))
     assert np.abs(rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
-def test_solve_builds_the_old_level_action_once_after_the_factor(monkeypatch):
-    # the step matrix, its factor, then the old level's action, once per
-    # solve and once per bare step: built under the factor it would add to
-    # the solve's peak memory
+def test_solve_assembles_one_system_and_one_factor(monkeypatch):
+    # the step matrix and its factor, once per solve and once per bare step:
+    # the right-hand side is the load's moments, with no second system
     calls = []
     system, factor_init = asgs_core.assemble_system, linalg.DirectFactor.__init__
     monkeypatch.setattr(asgs_core, "assemble_system",
@@ -211,29 +224,28 @@ def test_solve_builds_the_old_level_action_once_after_the_factor(monkeypatch):
     scheme = TimeScheme(theta=0, dt=0.1, n_steps=4)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), _initial_state(mesh))
-    assert calls == ["system", "factor", "system"]
+    assert calls == ["system", "factor"]
     calls.clear()
     step(mesh, dofmap, _initial_state(mesh), SubscaleState.zeros(mesh), scheme, params,
          _forcing_fn())
-    assert calls == ["system", "factor", "system"]
+    assert calls == ["system", "factor"]
 
 
 def test_assemble_rhs_assembles_no_system(monkeypatch):
-    # the old level's action is handed in; the kernel only applies it
+    # the kernel takes the load's moments and nothing else
     mesh = build_unit_square_mesh(3)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=0, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     state, sub = _random_step_inputs(mesh, np.random.default_rng(9))
-    old_action = asgs_core._step_system(mesh, dofmap, scheme, params, scheme.alpha - 1)
     load = _load(_forcing_fn(), mesh, state, sub, scheme)
 
     def refuse(*args):
         raise AssertionError("assemble_rhs assembled a system")
 
     monkeypatch.setattr(asgs_core, "assemble_system", refuse)
-    rhs = assemble_rhs(mesh, dofmap, state, params, load, old_action)
-    _, b_ref = dense_assemble(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
+    rhs = assemble_rhs(mesh, dofmap, params, load)
+    _, b_ref = _interval_oracle(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
@@ -358,8 +370,8 @@ def test_temporal_self_convergence_backward_euler():
     for suffix, fn in (("", _forcing_fn()), ("-separable", ManufacturedForcing(MU)))
     for theta in (1, 0)])
 def test_single_step_run_equals_step(theta, forcing_fn):
-    # a bare step builds its factor and the old level's action as the solve
-    # does, so the two agree bitwise
+    # a bare step builds its factor as the solve does, so the two agree
+    # bitwise
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=theta, dt=0.1, n_steps=1)
@@ -582,15 +594,21 @@ def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2,
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, scheme.dt_eff)
     state, sub = _random_step_inputs(mesh, np.random.default_rng(seed))
+    # the oracle's theta system has u_new as its unknown and zero on its
+    # Dirichlet rows, so it checks the extrapolation from u_mid and the
+    # (1 - alpha)*u_old that the step writes on those rows
     fn = _forcing_fn(mu)
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
-    rhs = _rhs(mesh, dofmap, state, sub, scheme, params, fn)
-    dense = np.linalg.solve(matrix.toarray(), rhs)
+    A, b = dense_assemble(mesh, dofmap, state, sub, scheme, params, fn)
+    dense = np.linalg.solve(A, b)
     scale = max(1.0, np.abs(dense).max())
 
     new, _ = step(mesh, dofmap, state, sub, scheme, params, fn)
     got = np.concatenate([new.u1, new.u2, new.p])
     assert np.abs(got - dense[:got.size]).max() <= 1e-9 * scale
+    rhs = _rhs(mesh, dofmap, state, sub, scheme, params, fn)
+    boundary = dofmap.dirichlet_dofs
+    rhs[boundary] = (1 - scheme.alpha) * np.concatenate([state.u1, state.u2])[boundary]
+    matrix = assemble_lhs(mesh, dofmap, scheme, params)
     lam = ReducedFactor(matrix, dofmap).solve(rhs)[dofmap.multiplier_index]
     assert abs(lam - dense[dofmap.multiplier_index]) <= 1e-9 * scale
     assert abs(dofmap.mean_vector @ new.p) <= 1e-12 * max(1.0, np.abs(new.p).max())
@@ -679,7 +697,7 @@ def test_reduced_step_matrix_symmetric_after_scaling_continuity(nx, mu, c1, c2, 
     pinned = np.append(dofmap.dirichlet_dofs, 2 * dofmap.n_u)
     kept = np.setdiff1d(np.arange(dofmap.multiplier_index), pinned)
     K = assemble_lhs(mesh, dofmap, scheme, params)[kept][:, kept].toarray()
-    S = np.where((kept >= 2 * dofmap.n_u)[:, None], -K / scheme.alpha, K)
+    S = np.where((kept >= 2 * dofmap.n_u)[:, None], -K, K)
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(K).max()
 
 

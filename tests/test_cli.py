@@ -154,6 +154,18 @@ def test_refused_factor_is_one_error_line(monkeypatch, tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", [["solve"], ["study", "--levels", "2"]])
+@pytest.mark.parametrize("nx", [3_000_000_000, 10 ** 20])
+def test_huge_nx_is_one_error_line(tmp_path, capsys, command, nx):
+    # a row count past int64 is refused by the budget like any other, not
+    # by a traceback from the fill prediction
+    out = tmp_path / "out.csv"
+    assert run_cli(command + ["--nx", str(nx), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the factor of ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["study", "--levels", "2"]])
 @pytest.mark.parametrize("out", ["missing/out.csv", ".", "", "a\0b.csv"],
                          ids=["missing-parent", "directory", "empty", "nul"])
 def test_unusable_out_is_refused_before_solving(monkeypatch, tmp_path, capsys, command, out):

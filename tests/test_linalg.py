@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokes_asgs import (SingularMatrixError, SparseMatrix, asgs_core, build_dofmap,
+from stokes_asgs import (SingularMatrixError, SparseMatrix, build_dofmap,
                          build_unit_square_mesh, linalg)
 from stokes_asgs.asgs_core import (FieldState, ReducedFactor,
                                    StabilizationParams, SubscaleState,
@@ -230,9 +230,9 @@ def test_step_factor_holds_no_copy_of_its_factor(monkeypatch):
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
-    operators = asgs_core._step_operators(mesh, dofmap, scheme, params)
-    assert isinstance(operators[0].factor.lu, _FactorWithoutCopies)
+    factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    assert isinstance(factor.factor.lu, _FactorWithoutCopies)
     z = np.zeros(mesh.n_vertices)
     state, _ = step(mesh, dofmap, FieldState(z, z, z, 0.0), SubscaleState.zeros(mesh),
-                    scheme, params, ManufacturedForcing(0.1), operators)
+                    scheme, params, ManufacturedForcing(0.1), factor=factor)
     assert state.t == 0.1 and np.abs(state.u1).max() > 0.0

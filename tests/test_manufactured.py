@@ -673,6 +673,19 @@ def test_runners_refuse_an_over_budget_level_before_any_mesh(monkeypatch):
     assert run_verification_solve(4, 0.1, 1, 0.1).steps
 
 
+@pytest.mark.parametrize("nx", [3_000_000_000, 10 ** 20, 10 ** 200, 10 ** 3000],
+                         ids=["past-int64", "1e20", "past-float", "past-str-digits"])
+def test_runners_refuse_a_huge_nx_by_the_budget(monkeypatch, nx):
+    # the step factor's row count, past int64, past the float range or past
+    # the digits Python prints, gets a prediction and a readable refusal
+    monkeypatch.setattr(manufactured, "build_unit_square_mesh",
+                        lambda nx: pytest.fail(f"built the nx={nx} mesh"))
+    with pytest.raises(linalg.FactorBudgetError, match="rows is predicted to need"):
+        run_verification_solve(nx, 0.1, 1, 0.1)
+    with pytest.raises(linalg.FactorBudgetError, match="rows is predicted to need"):
+        manufactured.run_convergence_study(nx, 0.1, 2)
+
+
 def test_runners_refuse_a_non_integral_nx_before_any_level_solves(monkeypatch):
     # nx=2.5 is not truncated to 2, which would rate nx 2 and 5 as a doubling
     monkeypatch.setattr(manufactured, "_verification_solve",
