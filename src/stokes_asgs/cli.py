@@ -1,9 +1,10 @@
 """Command-line front end: single solves, convergence studies, CSV reports.
 
-Configuration comes from an optional flat key=value file ('#' starts a
-comment) overridden by command-line flags; its keys are the fields of
-``RunConfig``.  All floats are printed with 9 significant digits so repeated
-runs produce byte-identical CSV.
+Each run setting is a ``RunConfig`` field.  It is a key of the optional flat
+key=value config file ('#' starts a comment) and one flag that overrides it.
+A flag's text is cast like the file's, so the same text gives the same value
+or the same error either way.  All floats are printed with 9 significant
+digits so repeated runs produce byte-identical CSV.
 """
 
 import argparse
@@ -20,8 +21,8 @@ from .linalg import FactorBudgetError
 @dataclass
 class RunConfig:
     """One run's settings.  Each field is a config-file key, its value cast
-    to the field's type (a bool from true/false/1/0), and the flag whose
-    dest is the field's name overrides it."""
+    to the field's type (a bool from true/false/1/0), and one flag: --nx,
+    --t-final and so on, --no-stab for the bool."""
 
     nx: int = 10
     dt: float = 0.1
@@ -136,52 +137,36 @@ _SUMMARY = ("err_u_vtilde", "err_u_l2l2", "err_u_l2h1", "err_p_l2l2", "total",
 
 
 def cmd_solve(cfg):
-    """Run one transient solve; returns a process exit status."""
-    try:
-        result = manufactured.run_verification_solve(
-            cfg.nx, cfg.dt, cfg.theta, cfg.t_final, mu=cfg.mu, c1=cfg.c1,
-            c2=cfg.c2, stabilized=cfg.stabilized)
-    except StepFailureError as exc:
-        print(f"error: solve failed at {exc}", file=sys.stderr)
-        return 1
+    """Run one transient solve and write its per-step CSV."""
+    result = manufactured.run_verification_solve(
+        cfg.nx, cfg.dt, cfg.theta, cfg.t_final, mu=cfg.mu, c1=cfg.c1,
+        c2=cfg.c2, stabilized=cfg.stabilized)
     summary = " ".join(f"{key}={_fmt(getattr(result, key))}" for key in _SUMMARY)
     _write_csv(result.steps, cfg.out, [f"# summary {summary}"])
-    return 0
 
 
 def cmd_study(cfg, levels, time_study=False):
-    """Run a refinement study; returns a process exit status."""
-    if levels < 2:
-        print("error: study needs at least 2 levels", file=sys.stderr)
-        return 2
-    try:
-        table, _ = manufactured.run_convergence_study(
-            cfg.nx, cfg.dt, levels, theta=cfg.theta, t_final=cfg.t_final,
-            mu=cfg.mu, c1=cfg.c1, c2=cfg.c2, stabilized=cfg.stabilized,
-            time_study=time_study)
-    except StepFailureError as exc:
-        i, nx, dt = exc.level
-        print(f"error: level {i} (nx={nx}, dt={dt:g}) failed at {exc}",
-              file=sys.stderr)
-        return 1
+    """Run a refinement study and write its rate CSV."""
+    table, _ = manufactured.run_convergence_study(
+        cfg.nx, cfg.dt, levels, theta=cfg.theta, t_final=cfg.t_final,
+        mu=cfg.mu, c1=cfg.c1, c2=cfg.c2, stabilized=cfg.stabilized,
+        time_study=time_study)
     _write_csv(table.rows, cfg.out)
-    return 0
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--config", metavar="F", default=None)
-    parser.add_argument("--nx", type=int)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--theta", type=int, choices=(0, 1))
-    parser.add_argument("--t-final", dest="t_final", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--c1", type=float)
-    parser.add_argument("--c2", type=float)
-    parser.add_argument("--no-stab", dest="stabilized", action="store_false", default=None)
-    parser.add_argument("--out", metavar="F")
+    # one flag per RunConfig field, kept as text for parse_config to cast
+    parser.add_argument("--config", metavar="F")
+    for key, kind in _TYPES.items():
+        if kind is bool:  # the one switch: --no-stab turns stabilized off
+            parser.add_argument("--no-stab", dest=key, action="store_const", const="false")
+        else:
+            parser.add_argument("--" + key.replace("_", "-"))
 
 
 def main(argv=None):
+    """Run the command in ``argv``; exit status 2 for a bad setting, 1 for a
+    failed step, a refused factor or a failed write, else 0."""
     parser = argparse.ArgumentParser(
         prog="stokes-asgs",
         description="Stabilized P1/P1 transient Stokes solver (unit square test problem)")
@@ -200,17 +185,25 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config, {key: value for key, value in vars(args).items()
                                          if key in _TYPES})
-    except (ConfigError, OSError) as exc:
+        if args.command == "study" and args.levels < 2:
+            raise ConfigError("study needs at least 2 levels")
+    except (ConfigError, OSError) as exc:  # OSError: the config file could not be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         if args.command == "solve":
-            return cmd_solve(cfg)
-        return cmd_study(cfg, args.levels, time_study=args.time_study)
+            cmd_solve(cfg)
+        else:
+            cmd_study(cfg, args.levels, time_study=args.time_study)
+    except StepFailureError as exc:
+        where = "solve" if exc.level is None else "level {} (nx={}, dt={:g})".format(*exc.level)
+        print(f"error: {where} failed at {exc}", file=sys.stderr)
+        return 1
     except (FactorBudgetError, OSError) as exc:  # OSError: the CSV could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -97,16 +97,17 @@ def test_criterion_1_table_rate_reproduction(study):
           f"{[format(x, '.3f') for x in ratios]} "
           f"(within factor 3: {all(1 / 3 <= x <= 3 for x in ratios)})")
     ok = in_bracket and increasing and final_ok and runtime_ok
+    rocs_text = [format(r, '.5f') for r in rocs]
     _verdict(1, "Table rate reproduction", ok,
-             f"rocs={[format(r, '.5f') for r in rocs]} vs refs "
+             f"rocs={rocs_text} vs refs "
              f"{REFERENCE_ROCS}, max dev {max(deviations):.4f} (<=0.06: {in_bracket}), "
              f"increasing={increasing}, final in [0.93,1.05]={final_ok}, "
              f"runtime {elapsed:.0f}s<=600s={runtime_ok}")
     assert in_bracket, (
-        f"RoC deviations {deviations} exceed 0.06; computed rocs {rocs} "
-        f"approach 1 from above while the reference pattern rises from below "
-        f"(see docs/acceptance.md)")
-    assert increasing, f"rocs {rocs} are not monotonically increasing"
+        f"RoC deviations {[format(d, '.4f') for d in deviations]} exceed 0.06; "
+        f"computed rocs {rocs_text} approach 1 from above while the reference "
+        f"pattern rises from below (see docs/acceptance.md)")
+    assert increasing, f"rocs {rocs_text} are not monotonically increasing"
     assert final_ok
     assert runtime_ok
 
@@ -120,8 +121,9 @@ def test_criterion_2_spatial_first_order(study):
     ok = 0.85 <= slope <= 1.1
     _verdict(2, "spatial first order", ok,
              f"LSQ slope {slope:.4f} in [0.85, 1.10]")
+    tail = [format(r, '.5f') for r in table.rocs()[-2:]]
     assert ok, (f"fitted slope {slope:.4f} outside [0.85, 1.1]; tail rates "
-                f"{table.rocs()[-2:]} are first order, the overshoot is "
+                f"{tail} are first order, the overshoot is "
                 f"pre-asymptotic (see docs/acceptance.md)")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -364,10 +365,44 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert run_cli(["solve", "--config", str(cfg_file)]) == 2
 
 
-def test_cli_theta_flag_validation():
-    with pytest.raises(SystemExit):
-        main(["solve", "--theta", "2"])
+def test_cli_theta_flag_validation(capsys):
+    assert main(["solve", "--theta", "2"]) == 2
+    assert capsys.readouterr().err == "error: theta must be 0 or 1, got 2\n"
 
 
-def test_study_rejects_single_level():
+@pytest.mark.parametrize("flag, text", [("--nx", "abc"), ("--nx", "4.5"), ("--dt", "x"),
+                                        ("--theta", "0.5")])
+def test_bad_flag_text_is_the_config_file_error(tmp_path, capsys, flag, text):
+    # a flag's text is cast as the same text in a config file is: status 2
+    # and the file's error line without its "path:line: " prefix
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{flag[2:]} = {text}\n")
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(str(cfg_file))
+    prefix = f"{cfg_file}:1: "
+    assert str(from_file.value).startswith(prefix)
+    assert main(["solve", flag, text]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: " + str(from_file.value)[len(prefix):]]
+
+
+# the flag of each RunConfig field
+_FLAGS = {"nx": "--nx", "dt": "--dt", "theta": "--theta", "t_final": "--t-final",
+          "mu": "--mu", "c1": "--c1", "c2": "--c2", "stabilized": "--no-stab",
+          "out": "--out"}
+
+
+@pytest.mark.parametrize("command, own", [("solve", []),
+                                          ("study", ["--levels", "--time-study"])])
+def test_help_lists_one_flag_per_field(capsys, command, own):
+    assert list(_FLAGS) == [f.name for f in fields(RunConfig)]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    listed = re.findall(r"^ +(--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == ["--config", *_FLAGS.values(), *own]
+
+
+def test_study_rejects_single_level(capsys):
     assert run_cli(["study", "--levels", "1", "--nx", "4", "--dt", "0.25"]) == 2
+    assert capsys.readouterr().err == "error: study needs at least 2 levels\n"

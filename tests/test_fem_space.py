@@ -203,6 +203,29 @@ def test_assembled_matrices_share_the_mesh_pattern():
         assert not a.flags.writeable
 
 
+def test_assemble_matrix_sums_shared_entries():
+    # nx=1: triangles [0, 1, 3] and [0, 3, 2] share the diagonal 0-3, so
+    # the pairs (0, 0), (0, 3), (3, 0) and (3, 3) each get two entries
+    mesh = build_unit_square_mesh(1)
+    local = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 2.0)])
+    A = assemble_matrix(mesh, local)
+    assert A.nnz == 14
+    dense = A.toarray()
+    for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
+        assert dense[i, j] == 3.0
+    assert dense[0, 1] == 1.0 and dense[2, 3] == 2.0
+    assert dense[1, 2] == 0.0 and dense[2, 1] == 0.0
+
+
+def test_assemble_matrix_of_no_elements_is_empty():
+    full = build_unit_square_mesh(2)
+    mesh = Mesh(2, full.vertices, full.triangles[:0])
+    A = assemble_matrix(mesh, np.zeros((0, 3, 3)))
+    assert A.nnz == 0
+    assert A.shape == (full.n_vertices, full.n_vertices)
+    assert np.all(A.toarray() == 0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(nx=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_nested_dissection_ends_with_a_separating_grid_line(nx, seed):

@@ -9,46 +9,8 @@ from stokes_asgs import (SingularMatrixError, SparseMatrix, build_dofmap,
 from stokes_asgs.asgs_core import (FieldState, ReducedFactor,
                                    StabilizationParams, SubscaleState,
                                    TimeScheme, assemble_lhs, step)
-from stokes_asgs.fem_space import assemble_matrix
 from stokes_asgs.linalg import DIRECT_RESIDUAL_TOL, PIVOT_RTOL, DirectFactor
 from stokes_asgs.manufactured import ManufacturedForcing
-from stokes_asgs.mesh import Mesh
-
-# The triplets of an assembled matrix are the element entries (k, i, j):
-# row triangles[k, i], column triangles[k, j], value local[k, i, j].
-
-
-def test_duplicate_triplets_summed():
-    # nx=1: triangles [0, 1, 3] and [0, 3, 2] share the diagonal 0-3, so
-    # the pairs (0, 0), (0, 3), (3, 0) and (3, 3) each get two entries
-    mesh = build_unit_square_mesh(1)
-    local = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 2.0)])
-    A = assemble_matrix(mesh, local)
-    assert A.nnz == 14
-    dense = A.toarray()
-    for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
-        assert dense[i, j] == 3.0
-    assert dense[0, 1] == 1.0 and dense[2, 3] == 2.0
-    assert dense[1, 2] == 0.0 and dense[2, 1] == 0.0
-
-
-def test_empty_triplets():
-    full = build_unit_square_mesh(2)
-    mesh = Mesh(2, full.vertices, full.triangles[:0])
-    A = assemble_matrix(mesh, np.zeros((0, 3, 3)))
-    assert A.nnz == 0
-    assert A.shape == (full.n_vertices, full.n_vertices)
-    assert np.all(A.toarray() == 0.0)
-
-
-def test_out_of_range_rejected():
-    # an element entry outside [0, n_vertices) never reaches the assembly:
-    # the mesh refuses it
-    vertices = build_unit_square_mesh(1).vertices
-    with pytest.raises(ValueError):
-        Mesh(1, vertices, np.array([[0, 1, 4]]))
-    with pytest.raises(ValueError):
-        Mesh(1, vertices, np.array([[0, -1, 2]]))
 
 
 def test_direct_identity():

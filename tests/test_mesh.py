@@ -84,6 +84,16 @@ def test_index_errors():
             Mesh(1, _UNIT_SQUARE, np.array([[1, 3, 2], bad]))
 
 
+def test_vertex_index_out_of_range_rejected():
+    # an element entry outside [0, n_vertices) never reaches the assembly:
+    # the mesh refuses it
+    vertices = build_unit_square_mesh(1).vertices
+    with pytest.raises(ValueError):
+        Mesh(1, vertices, np.array([[0, 1, 4]]))
+    with pytest.raises(ValueError):
+        Mesh(1, vertices, np.array([[0, -1, 2]]))
+
+
 @pytest.mark.parametrize("triangle", [[0, 1, 1], [0, 2, 1]])
 def test_degenerate_or_clockwise_triangle_rejected(triangle):
     # a repeated vertex has zero area, a clockwise one negative area
