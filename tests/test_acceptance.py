@@ -8,11 +8,12 @@ once per session.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stokes_asgs import build_dofmap, build_unit_square_mesh
+from stokes_asgs import build_dofmap, build_unit_square_mesh, cli
 from stokes_asgs.asgs_core import (FieldState, StabilizationParams,
                                    StepFailureError, SubscaleState, TimeScheme,
                                    _interval_forcing, assemble_lhs, assemble_rhs,
@@ -125,6 +126,14 @@ def test_criterion_2_spatial_first_order(study):
     assert ok, (f"fitted slope {slope:.4f} outside [0.85, 1.1]; tail rates "
                 f"{tail} are first order, the overshoot is "
                 f"pre-asymptotic (see docs/acceptance.md)")
+
+
+def test_five_level_study_csv_is_golden(study, tmp_path):
+    # the study's CSV as ``stokes-asgs study --levels 5`` writes it
+    out = tmp_path / "study.csv"
+    cli._write_csv(study[0].rows, str(out))
+    golden = Path(__file__).parent / "golden" / "study_levels5.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_criterion_3_temporal_second_order_cn(time_study):
