@@ -138,6 +138,11 @@ class StabilizationParams:
         return cls(mu=mu, c1=c1, c2=c2, dt_eff=dt_eff,
                    tau1=tau1, tau2=tau2, tau1p=tau1p, stabilized=stabilized)
 
+    def check_dt_eff(self, dt_eff):
+        """ValueError unless these were built for ``dt_eff``, to 1e-12 relative."""
+        if not abs(dt_eff - self.dt_eff) <= 1e-12 * self.dt_eff:
+            raise ValueError(f"params.dt_eff {self.dt_eff} differs from the step's dt_eff {dt_eff}")
+
     @property
     def m_weights(self):
         return self.tau1 / (self.dt_eff + self.tau1)
@@ -209,21 +214,17 @@ def _grad_div(a, g, weight, c, cp):
     return (weight * a)[:, None, None] * (g[:, :, c][:, :, None] * g[:, None, :, cp])
 
 
-def assemble_lhs(mesh, dofmap, scheme, params):
+def assemble_lhs(mesh, dofmap, params):
     """System matrix of a step's interval unknowns (u_mid, p), a backward-Euler
-    step of size dt_eff whatever the scheme: the scipy CSR that
+    step of size ``params.dt_eff`` whatever the scheme: the scipy CSR that
     ``assemble_system`` writes block by block, with identity Dirichlet rows,
     the mean-pressure multiplier row/column appended and the raw operator on
-    the free dofs.  ValueError when ``params`` were built for another dt_eff.
+    the free dofs.  Its callers with a dt check ``params.dt_eff`` against it.
     """
-    dt_eff = scheme.dt_eff
-    if abs(params.dt_eff - dt_eff) > 1e-12 * dt_eff:
-        raise ValueError(f"params.dt_eff {params.dt_eff} differs from the "
-                         f"scheme's dt_eff {dt_eff}")
     a, g, mass, stiff, div = _element_tables(mesh)
     m_w, t1p = params.m_weights, params.tau1p
     # time derivative + viscosity on each velocity component
-    diag_block = (params.w_weights / dt_eff)[:, None, None] * mass + params.mu * stiff
+    diag_block = (params.w_weights / params.dt_eff)[:, None, None] * mass + params.mu * stiff
 
     def block(r, c):
         if r < 2 and c < 2:  # velocity-velocity, with grad-div across components
@@ -232,7 +233,7 @@ def assemble_lhs(mesh, dofmap, scheme, params):
             return (-div[:, r].transpose(0, 2, 1)
                     - (m_w * a / 3.0)[:, None, None] * g[:, None, :, r])
         if c < 2:  # continuity-velocity: (div u, q) and tau1p*(u/dt_eff, grad q)
-            return div[:, c] + (t1p * a / (3.0 * dt_eff))[:, None, None] * g[:, :, c, None]
+            return div[:, c] + (t1p * a / (3.0 * params.dt_eff))[:, None, None] * g[:, :, c, None]
         return t1p[:, None, None] * stiff  # continuity-pressure: tau1p * pressure Laplacian
 
     return assemble_system(mesh, dofmap, block)
@@ -326,7 +327,7 @@ def update_subscales(mesh, state_new, state_old, subscale_n, scheme, params, f_m
     tri, dt, alpha = mesh.triangles, scheme.dt, scheme.alpha
     grad_p = _gradient(state_new.p[tri], mesh.shape_gradients)
     A = (params.tau1p / alpha)[:, None]
-    B = ((params.tau1p / scheme.dt_eff - (1 - alpha)) / alpha)[:, None]
+    B = ((params.tau1p / params.dt_eff - (1 - alpha)) / alpha)[:, None]
     uprime = np.empty(f_mid.shape)
     for c, (new, old) in enumerate(((state_new.u1, state_old.u1),
                                     (state_new.u2, state_old.u2))):
@@ -409,14 +410,17 @@ def step(mesh, dofmap, state_n, subscale_n, scheme, params, forcing, factor=None
     not given.  f_mid, the interval forcing, is evaluated once for both
     kernels, and the load once for ``assemble_rhs``.  The solve gives the
     interval velocity u_mid, with (1-alpha)*u_old on the Dirichlet rows, and
-    u_new = (u_mid - (1-alpha)*u_old)/alpha, as for the subscale.
+    u_new = (u_mid - (1-alpha)*u_old)/alpha, as for the subscale.  ValueError,
+    given ``factor`` or not, when ``params.check_dt_eff`` refuses the scheme's
+    dt_eff.
     """
-    factor = factor or ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    params.check_dt_eff(scheme.dt_eff)
+    factor = factor or ReducedFactor(assemble_lhs(mesh, dofmap, params), dofmap)
     alpha = scheme.alpha
     f_mid = _interval_forcing(forcing, mesh, state_n.t, state_n.t + scheme.dt, alpha)
     load = np.stack([_at_points(u, mesh.triangles) for u in (state_n.u1, state_n.u2)])
     load += np.moveaxis(subscale_n.uprime, -1, 0)
-    load /= scheme.dt_eff
+    load /= params.dt_eff
     load += f_mid
     rhs = assemble_rhs(mesh, dofmap, params, load)
     del load  # not held under the back-solve
@@ -442,12 +446,14 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     n = 0 (initial data) through n_steps; it accumulates norms, or collects
     the trajectory, along the loop.  Step failures, a singular factor
     included, are re-raised as StepFailureError carrying the 1-based failing
-    step index.  The factor's budget is checked before the observer or any
-    assembly runs.  The step matrix is assembled and factored once, in step
-    1, after observer(0), so that the observer's set-up temporaries never
-    add to the resident factor.  The forcing is as in ``_interval_forcing``.
+    step index.  The factor's budget and the scheme's dt_eff, ValueError from
+    ``params.check_dt_eff``, are checked before the observer or any assembly
+    runs.  The step matrix is assembled and factored once, in step 1, after
+    observer(0), so that the observer's set-up temporaries never add to the
+    resident factor.  The forcing is as in ``_interval_forcing``.
     """
     linalg.check_factor_budget(dofmap.free_dofs.size - 1, 1)  # a pinned pressure
+    params.check_dt_eff(scheme.dt_eff)
     subscale = SubscaleState.zeros(mesh)
     state = initial
     if observer is not None:
@@ -455,8 +461,7 @@ def solve_transient(mesh, dofmap, scheme, params, forcing, initial,
     factor = None
     for n in range(1, scheme.n_steps + 1):
         try:
-            factor = factor or ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params),
-                                             dofmap)
+            factor = factor or ReducedFactor(assemble_lhs(mesh, dofmap, params), dofmap)
             state, subscale = step(mesh, dofmap, state, subscale, scheme, params,
                                    forcing, factor)
         except linalg.SingularMatrixError as exc:
@@ -505,9 +510,8 @@ def coercivity_check(mesh, dofmap, params, dt):
     """Least x^T S x / x^T x over the free velocities and zero-mean pressures.
 
     S = (A + A^T)/2 for the raw backward-Euler operator A at ``dt``, which
-    must be finite, positive and equal ``params.dt_eff`` (ValueError from
-    ``TimeScheme`` and ``assemble_lhs``), on ``dofmap.free_dofs``, where the
-    step matrix holds A.  That is the least eigenvalue of the pencil
+    ``params.check_dt_eff`` requires to be params.dt_eff (ValueError), on
+    ``dofmap.free_dofs``, where the step matrix holds A.  That is the least eigenvalue of the pencil
     [[S, m], [m^T, 0]] x = lam diag(I, 0) x: the symmetric part of the step
     matrix on those dofs and the multiplier, whose row is the mean vector m.
     Shifted by sigma < 0 it has one negative pivot unless S has an
@@ -516,10 +520,10 @@ def coercivity_check(mesh, dofmap, params, dt):
     the pencil's factor (``_nearest_eigenvalues`` holds two), from nx=248
     on the unit square.
     """
+    params.check_dt_eff(dt)
     dofs = np.append(dofmap.free_dofs, dofmap.multiplier_index)
     linalg.check_factor_budget(dofs.size, 2)
-    K = assemble_lhs(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1),
-                     params)[dofs][:, dofs]
+    K = assemble_lhs(mesh, dofmap, params)[dofs][:, dofs]
     M = sp.diags(np.append(np.ones(dofs.size - 1), 0.0))
     return float(_nearest_eigenvalues(0.5 * (K + K.T), M, -1e-6, 1, 1)[0])
 

@@ -2,8 +2,8 @@
 
 Each run setting is a ``RunConfig`` field.  It is a key of the optional flat
 key=value config file ('#' starts a comment) and one flag that overrides it.
-A flag's text is cast like the file's, so the same text gives the same value
-or the same error either way.  All floats are printed with 9 significant
+A flag's text, the next token whatever it starts with, is cast like the
+file's, so the same text gives the same value or the same error either way.  All floats are printed with 9 significant
 digits so repeated runs produce byte-identical CSV.
 """
 
@@ -154,6 +154,21 @@ def cmd_study(cfg, levels, time_study=False):
     _write_csv(table.rows, cfg.out)
 
 
+# the flags that take a value: each takes the next token as its text, even
+# one that starts with "-" (argparse reads "-inf" or "-x.csv" as a flag)
+_VALUE_FLAGS = {"--config", "--levels",
+                *("--" + key.replace("_", "-") for key, kind in _TYPES.items() if kind is not bool)}
+
+
+def _glue_values(argv):
+    """``argv`` with each value flag and the token after it as one --flag=text."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def _add_common_flags(parser):
     # one flag per RunConfig field, kept as text for parse_config to cast
     parser.add_argument("--config", metavar="F")
@@ -177,16 +192,21 @@ def main(argv=None):
 
     p_study = sub.add_parser("study", help="refinement study with a rate-of-convergence CSV")
     _add_common_flags(p_study)
-    p_study.add_argument("--levels", type=int, default=5)
+    p_study.add_argument("--levels", default="5")
     p_study.add_argument("--time-study", dest="time_study", action="store_true",
                          help="keep nx fixed and halve dt only; rates taken against dt")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = parse_config(args.config, {key: value for key, value in vars(args).items()
                                          if key in _TYPES})
-        if args.command == "study" and args.levels < 2:
-            raise ConfigError("study needs at least 2 levels")
+        if args.command == "study":
+            try:
+                args.levels = int(args.levels)
+            except ValueError:
+                raise ConfigError(f"bad value for 'levels': {args.levels}") from None
+            if args.levels < 2:
+                raise ConfigError("study needs at least 2 levels")
     except (ConfigError, OSError) as exc:  # OSError: the config file could not be read
         print(f"error: {exc}", file=sys.stderr)
         return 2

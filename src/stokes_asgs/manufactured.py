@@ -427,16 +427,21 @@ def run_convergence_study(base_nx, base_dt, levels, theta=1, t_final=1.0,
     reuses the previous level's mesh and dofmap when its nx is the same, so
     a time study builds them once and a space study lets each level's mesh
     go.  Returns (RateTable, [LevelResult]).  Fewer than 2 levels, or any
-    level's step factor over budget, is refused before level 0.  A failing
-    solve's StepFailureError is re-raised with ``level`` set to (i, nx, dt).
+    level's step factor over budget, is refused before level 0: from the
+    coarsest level up, as nx only grows, so the first refusal ends the check.
+    A failing solve's StepFailureError is re-raised with ``level`` set to
+    (i, nx, dt).
     """
-    nxs = [base_nx if time_study else base_nx * 2 ** i for i in range(levels)]
+    def nx_at(i):
+        return base_nx if time_study else base_nx * 2 ** i
+
     if levels < 2:
         raise ValueError("need at least 2 levels to compute rates")
-    _check_step_factors(*nxs)
+    for i in range(1 if time_study else levels):
+        _check_step_factors(nx_at(i))
     results, mesh = [], None
-    for i, nx in enumerate(nxs):
-        dt = base_dt / 2 ** i
+    for i in range(levels):
+        nx, dt = nx_at(i), base_dt / 2 ** i
         scheme = TimeScheme(theta=theta, dt=dt, n_steps=count_steps(t_final, dt))
         if mesh is None or mesh.nx != nx:
             mesh = build_unit_square_mesh(nx)

@@ -164,7 +164,7 @@ def test_criterion_4_assembly_oracle_equivalence():
                        rng.standard_normal(n), 0.2)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
     fn = lambda x, y, t: forcing(x, y, t, 0.1)
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    matrix = assemble_lhs(mesh, dofmap, params)
     to_points = quadrature_rule(5).points.T
     u_old = np.stack([u[mesh.triangles] @ to_points for u in (state.u1, state.u2)])
     load = (u_old + np.moveaxis(sub.uprime, -1, 0)) / scheme.dt_eff

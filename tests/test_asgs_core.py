@@ -161,7 +161,7 @@ def test_assembly_matches_dense_oracle(theta):
     state = _random_state(mesh, seed=7)
     rng = np.random.default_rng(8)
     sub = SubscaleState(rng.standard_normal((mesh.n_triangles, 7, 2)))
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    matrix = assemble_lhs(mesh, dofmap, params)
     rhs = _rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = _interval_oracle(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
@@ -185,7 +185,7 @@ def _check_galerkin_against_oracle(theta):
                                           stabilized=False)
     state = _random_state(mesh, seed=3)
     sub = SubscaleState.zeros(mesh)
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    matrix = assemble_lhs(mesh, dofmap, params)
     rhs = _rhs(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     A_ref, b_ref = _interval_oracle(mesh, dofmap, state, sub, scheme, params, _forcing_fn())
     assert np.abs(matrix.toarray() - A_ref).max() < 1e-12
@@ -259,13 +259,13 @@ def test_stabilization_vanishes_for_huge_c1():
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     galerkin = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                             stabilized=False)
-    G = assemble_lhs(mesh, dofmap, scheme, galerkin).toarray()
+    G = assemble_lhs(mesh, dofmap, galerkin).toarray()
     scale = np.abs(G).max()
 
     def remainder(big_c1):
         params = StabilizationParams.for_mesh(mesh, MU, big_c1,
                                               C2 / big_c1 ** 2, scheme.dt_eff)
-        A = assemble_lhs(mesh, dofmap, scheme, params).toarray()
+        A = assemble_lhs(mesh, dofmap, params).toarray()
         return np.abs(A - G).max() / scale
 
     r6 = remainder(4e6)
@@ -487,7 +487,7 @@ def test_coercivity_check_determinism_bitwise():
     params = StabilizationParams.for_mesh(mesh, 1e-3, C1, C2, dt_eff=1.0)
     values = {coercivity_check(mesh, dofmap, params, dt=1.0) for _ in range(5)}
     assert len(values) == 1
-    S = _coercivity_null_space_reference(mesh, dofmap, params, dt=1.0)
+    S = _coercivity_null_space_reference(mesh, dofmap, params)
     n_free = 2 * 15 ** 2
     S_u, S_p = S[:n_free, :n_free], S[n_free:, n_free:]
     lam = values.pop()
@@ -608,7 +608,7 @@ def test_reduced_solve_equals_dense_multiplier_system(nx, theta, dt, mu, c1, c2,
     rhs = _rhs(mesh, dofmap, state, sub, scheme, params, fn)
     boundary = dofmap.dirichlet_dofs
     rhs[boundary] = (1 - scheme.alpha) * np.concatenate([state.u1, state.u2])[boundary]
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    matrix = assemble_lhs(mesh, dofmap, params)
     lam = ReducedFactor(matrix, dofmap).solve(rhs)[dofmap.multiplier_index]
     assert abs(lam - dense[dofmap.multiplier_index]) <= 1e-9 * scale
     assert abs(dofmap.mean_vector @ new.p) <= 1e-12 * max(1.0, np.abs(new.p).max())
@@ -620,7 +620,7 @@ def _reduced_fill(nx, theta):
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=theta, dt=1.0 / nx, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    matrix = assemble_lhs(mesh, dofmap, params)
     lu = ReducedFactor(matrix, dofmap).factor.lu
     return lu.L.nnz + lu.U.nnz, matrix.nnz
 
@@ -696,7 +696,7 @@ def test_reduced_step_matrix_symmetric_after_scaling_continuity(nx, mu, c1, c2, 
                                           stabilized=stabilized)
     pinned = np.append(dofmap.dirichlet_dofs, 2 * dofmap.n_u)
     kept = np.setdiff1d(np.arange(dofmap.multiplier_index), pinned)
-    K = assemble_lhs(mesh, dofmap, scheme, params)[kept][:, kept].toarray()
+    K = assemble_lhs(mesh, dofmap, params)[kept][:, kept].toarray()
     S = np.where((kept >= 2 * dofmap.n_u)[:, None], -K, K)
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(K).max()
 
@@ -716,9 +716,9 @@ def test_step_matrix_pattern_counts(nx):
         for stabilized in (True, False):
             params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                                   stabilized=stabilized)
-            assert assemble_lhs(mesh, dofmap, scheme, params).nnz == _STEP_MATRIX_NNZ[nx]
+            assert assemble_lhs(mesh, dofmap, params).nnz == _STEP_MATRIX_NNZ[nx]
             if nx == 40 and stabilized:
-                matrix = assemble_lhs(mesh, dofmap, scheme, params)
+                matrix = assemble_lhs(mesh, dofmap, params)
                 factor = ReducedFactor(matrix, dofmap)
                 assert matrix[factor.kept][:, factor.kept].nnz == 95366
 
@@ -749,10 +749,10 @@ def test_step_matrix_equals_bmat_reference(nx, theta, dt, stabilized):
     scheme = TimeScheme(theta=theta, dt=dt, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff,
                                           stabilized=stabilized)
-    got = assemble_lhs(mesh, dofmap, scheme, params)
+    got = assemble_lhs(mesh, dofmap, params)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(asgs_core, "assemble_system", _bmat_reference)
-        want = assemble_lhs(mesh, dofmap, scheme, params)
+        want = assemble_lhs(mesh, dofmap, params)
     assert got.format == "csr" and got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -766,10 +766,10 @@ def test_step_matrix_assembly_peak_memory():
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.025, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
-    assemble_lhs(mesh, dofmap, scheme, params)  # builds the per-mesh pattern
+    assemble_lhs(mesh, dofmap, params)  # builds the per-mesh pattern
     tracemalloc.start()
     try:
-        csr = assemble_lhs(mesh, dofmap, scheme, params)
+        csr = assemble_lhs(mesh, dofmap, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -908,7 +908,7 @@ def test_coercivity_rayleigh_quotients_bound_eigenvalue():
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
-    S = _coercivity_null_space_reference(mesh, dofmap, params, dt=0.1)
+    S = _coercivity_null_space_reference(mesh, dofmap, params)
     lam = coercivity_check(mesh, dofmap, params, dt=0.1)
     rng = np.random.default_rng(13)
     quotients = []
@@ -927,7 +927,7 @@ def test_coercivity_homogeneity():
     mesh = build_unit_square_mesh(4)
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=0.1)
-    S = _coercivity_null_space_reference(mesh, dofmap, params, dt=0.1)
+    S = _coercivity_null_space_reference(mesh, dofmap, params)
     import scipy.linalg
     lam = scipy.linalg.eigvalsh(S).min()
     lam2 = scipy.linalg.eigvalsh(2.0 * S).min()
@@ -962,6 +962,31 @@ def test_step_rejects_params_for_another_dt_eff():
     with pytest.raises(ValueError, match="dt_eff"):
         solve_transient(mesh, dofmap, scheme, params, _forcing_fn(),
                         _initial_state(mesh))
+
+
+def test_step_given_a_factor_rejects_params_for_another_dt_eff():
+    # a prebuilt factor carries no step size of its own: the params that
+    # built it are checked against the scheme all the same
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=0, dt=0.1, n_steps=1)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=scheme.dt)
+    factor = ReducedFactor(assemble_lhs(mesh, dofmap, params), dofmap)
+    with pytest.raises(ValueError, match="dt_eff"):
+        step(mesh, dofmap, _initial_state(mesh), SubscaleState.zeros(mesh), scheme,
+             params, _forcing_fn(), factor=factor)
+
+
+def test_solve_transient_rejects_params_before_the_observer():
+    mesh = build_unit_square_mesh(4)
+    dofmap = build_dofmap(mesh)
+    scheme = TimeScheme(theta=0, dt=0.1, n_steps=2)
+    params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=scheme.dt)
+    calls = []
+    with pytest.raises(ValueError, match="dt_eff"):
+        solve_transient(mesh, dofmap, scheme, params, _forcing_fn(), _initial_state(mesh),
+                        observer=lambda *args: calls.append(args[0]))
+    assert calls == []
 
 
 def test_diagnostics_refuse_over_factor_budget(monkeypatch):
@@ -999,7 +1024,7 @@ def test_diagnostics_budget_two_copies_of_their_factor(monkeypatch):
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, scheme.dt_eff)
     monkeypatch.setattr(linalg, "FACTOR_BUDGET_BYTES", 1_500_000)
-    step_matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    step_matrix = assemble_lhs(mesh, dofmap, params)
 
     def refuse(*args, **kwargs):
         raise AssertionError("assembled before the size guard")
@@ -1015,23 +1040,22 @@ def test_diagnostics_budget_two_copies_of_their_factor(monkeypatch):
     ReducedFactor(step_matrix, dofmap)
 
 
-def _raw_block(mesh, dofmap, scheme, params):
+def _raw_block(mesh, dofmap, params):
     """The dense step matrix without the multiplier, with its Dirichlet rows
     and columns zeroed: the raw operator on the free dofs, zero elsewhere."""
-    A = assemble_lhs(mesh, dofmap, scheme, params).toarray()[:dofmap.multiplier_index,
-                                                             :dofmap.multiplier_index]
+    A = assemble_lhs(mesh, dofmap, params).toarray()[:dofmap.multiplier_index,
+                                                     :dofmap.multiplier_index]
     A[dofmap.dirichlet_dofs] = A[:, dofmap.dirichlet_dofs] = 0.0
     return A
 
 
-def _coercivity_null_space_reference(mesh, dofmap, params, dt):
+def _coercivity_null_space_reference(mesh, dofmap, params):
     """Reference S: the step matrix's velocity and pressure rows and columns
     densified, whose free-dof block is the raw operator, and projected on an
     SVD basis of the admissible directions, free velocities first."""
     import scipy.linalg
     n_u, n_p = dofmap.n_u, dofmap.n_p
-    scheme = TimeScheme(theta=1, dt=dt, n_steps=1)
-    A = _raw_block(mesh, dofmap, scheme, params)
+    A = _raw_block(mesh, dofmap, params)
     free_vel = np.setdiff1d(np.arange(2 * n_u), dofmap.dirichlet_dofs)
     null_p = scipy.linalg.null_space(dofmap.mean_vector[None, :])
     Z = np.zeros((2 * n_u + n_p, free_vel.size + null_p.shape[1]))
@@ -1048,7 +1072,7 @@ def test_coercivity_matches_null_space_reference(nx, stabilized, dt):
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, MU, C1, C2, dt_eff=dt,
                                           stabilized=stabilized)
-    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params, dt))
+    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params))
     assert coercivity_check(mesh, dofmap, params, dt) == pytest.approx(
         ref.min(), abs=1e-10 * np.abs(ref).max())
 
@@ -1065,12 +1089,12 @@ def test_coercivity_blocks_split_the_symmetric_operator(nx, mu, c1, c2, dt, stab
     dofmap = build_dofmap(mesh)
     params = StabilizationParams.for_mesh(mesh, mu, c1, c2, dt_eff=dt,
                                           stabilized=stabilized)
-    A = _raw_block(mesh, dofmap, TimeScheme(theta=1, dt=dt, n_steps=1), params)
+    A = _raw_block(mesh, dofmap, params)
     S = 0.5 * (A + A.T)
     free_vel = np.setdiff1d(np.arange(2 * dofmap.n_u), dofmap.dirichlet_dofs)
     assert np.abs(S[np.ix_(free_vel, np.arange(2 * dofmap.n_u, S.shape[0]))]).max(
         initial=0.0) <= 1e-14 * np.abs(S).max()
-    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params, dt))
+    ref = scipy.linalg.eigvalsh(_coercivity_null_space_reference(mesh, dofmap, params))
     assert coercivity_check(mesh, dofmap, params, dt) == pytest.approx(
         ref.min(), abs=1e-10 * np.abs(ref).max())
 

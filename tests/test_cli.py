@@ -386,6 +386,25 @@ def test_bad_flag_text_is_the_config_file_error(tmp_path, capsys, flag, text):
         "error: " + str(from_file.value)[len(prefix):]]
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["solve", "--mu", "-inf"], "error: mu must be finite and positive, got -inf"),
+    (["study", "--levels", "abc"], "error: bad value for 'levels': abc"),
+    (["study", "--levels", "-3"], "error: study needs at least 2 levels"),
+])
+def test_flag_text_is_one_error_line(capsys, argv, err):
+    # a value flag takes the next token as its text, so a refused value is
+    # the same one error line whether or not it starts with "-"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [err]
+
+
+def test_out_may_start_with_a_dash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--nx", "2", "--dt", "0.5", "--t-final", "0.5",
+                 "--out", "-x.csv"]) == 0
+    assert (tmp_path / "-x.csv").read_text().startswith("step,")
+
+
 # the flag of each RunConfig field
 _FLAGS = {"nx": "--nx", "dt": "--dt", "theta": "--theta", "t_final": "--t-final",
           "mu": "--mu", "c1": "--c1", "c2": "--c2", "stabilized": "--no-stab",

@@ -46,7 +46,7 @@ def _step_system():
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
-    matrix = assemble_lhs(mesh, dofmap, scheme, params)
+    matrix = assemble_lhs(mesh, dofmap, params)
     rng = np.random.default_rng(1)
     b = rng.standard_normal(dofmap.n_dofs)
     b[dofmap.dirichlet_dofs] = 0.0
@@ -192,7 +192,7 @@ def test_step_factor_holds_no_copy_of_its_factor(monkeypatch):
     dofmap = build_dofmap(mesh)
     scheme = TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = StabilizationParams.for_mesh(mesh, 0.1, 4.0, 2.0, scheme.dt_eff)
-    factor = ReducedFactor(assemble_lhs(mesh, dofmap, scheme, params), dofmap)
+    factor = ReducedFactor(assemble_lhs(mesh, dofmap, params), dofmap)
     assert isinstance(factor.factor.lu, _FactorWithoutCopies)
     z = np.zeros(mesh.n_vertices)
     state, _ = step(mesh, dofmap, FieldState(z, z, z, 0.0), SubscaleState.zeros(mesh),

@@ -656,6 +656,19 @@ def test_step_factor_rows_closed_form(monkeypatch):
             np.arange(dofmap.multiplier_index), dofmap.dirichlet_dofs))
 
 
+def test_study_refuses_a_huge_level_count_in_small_memory():
+    # the levels are checked from the coarsest up and the first refusal
+    # ends the check: no list of 20,000 ever-longer nx is built first
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.FactorBudgetError):
+            manufactured.run_convergence_study(10, 0.1, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_runners_refuse_an_over_budget_level_before_any_mesh(monkeypatch):
     # a budget between the predicted step factors of nx=4 (42 rows, 11,724
     # bytes) and nx=8 (178 rows, 95,508 bytes): a study whose second level

@@ -46,8 +46,7 @@ def test_traced_solve_records_indicator_and_factor():
     dofmap = fem_space.build_dofmap(m)
     scheme = asgs_core.TimeScheme(theta=1, dt=0.1, n_steps=1)
     params = asgs_core.StabilizationParams.for_mesh(m, 0.1, 4.0, 2.0, scheme.dt_eff)
-    factor = asgs_core.ReducedFactor(asgs_core.assemble_lhs(m, dofmap, scheme, params),
-                                     dofmap)
+    factor = asgs_core.ReducedFactor(asgs_core.assemble_lhs(m, dofmap, params), dofmap)
     rows, nnz, _ = t.factors[0]
     assert rows == len(factor.kept)
     assert nnz == factor.matrix[factor.kept][:, factor.kept].nnz
