@@ -154,8 +154,9 @@ def cmd_study(cfg, levels, time_study=False):
     _write_csv(table.rows, cfg.out)
 
 
-# the flags that take a value: each takes the next token as its text, even
-# one that starts with "-" (argparse reads "-inf" or "-x.csv" as a flag)
+# the flags that take a value, spelled in full as the parsers allow no
+# abbreviation: each takes the next token as its text, even one that starts
+# with "-" (argparse reads "-inf" or "-x.csv" as a flag)
 _VALUE_FLAGS = {"--config", "--levels",
                 *("--" + key.replace("_", "-") for key, kind in _TYPES.items() if kind is not bool)}
 
@@ -187,10 +188,12 @@ def main(argv=None):
         description="Stabilized P1/P1 transient Stokes solver (unit square test problem)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="one transient solve with per-step error CSV")
+    p_solve = sub.add_parser("solve", allow_abbrev=False,
+                             help="one transient solve with per-step error CSV")
     _add_common_flags(p_solve)
 
-    p_study = sub.add_parser("study", help="refinement study with a rate-of-convergence CSV")
+    p_study = sub.add_parser("study", allow_abbrev=False,
+                             help="refinement study with a rate-of-convergence CSV")
     _add_common_flags(p_study)
     p_study.add_argument("--levels", default="5")
     p_study.add_argument("--time-study", dest="time_study", action="store_true",

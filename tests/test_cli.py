@@ -398,6 +398,14 @@ def test_flag_text_is_one_error_line(capsys, argv, err):
     assert capsys.readouterr().err.splitlines() == [err]
 
 
+def test_flags_are_spelled_in_full(capsys):
+    # an abbreviation would be a value flag that takes no "-" text
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "--t-fin", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --t-fin 1" in capsys.readouterr().err
+
+
 def test_out_may_start_with_a_dash(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["solve", "--nx", "2", "--dt", "0.5", "--t-final", "0.5",
